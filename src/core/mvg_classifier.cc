@@ -8,6 +8,7 @@
 #include "ml/feature_table.h"
 #include "ml/gradient_boosting.h"
 #include "ml/model_selection.h"
+#include "ml/quantile_sketch.h"
 #include "ml/random_forest.h"
 #include "ml/stacking.h"
 #include "ml/svm.h"
@@ -164,43 +165,104 @@ std::vector<std::vector<ClassifierFactory>> MvgClassifier::BuildFamilies(
 }
 
 bool MvgClassifier::UseSketchBinned() const {
-  return !config_.exact_splits && !config_.exact_bins &&
-         (config_.model == MvgModel::kXgboost ||
-          config_.model == MvgModel::kRandomForest);
+  return !config_.exact_splits && (config_.model == MvgModel::kXgboost ||
+                                   config_.model == MvgModel::kRandomForest);
 }
 
 void MvgClassifier::Fit(const Dataset& train) {
   if (train.empty()) throw std::invalid_argument("MvgClassifier: empty train");
-  const size_t threads = ResolvedThreads();
-
   WallTimer fe_timer;
-  Matrix x = extractor_.ExtractAll(train, threads);
-  std::vector<int> y = train.labels();
+  Matrix x = extractor_.ExtractAll(train, ResolvedThreads());
   if (UseSketchBinned()) {
-    FitSketchBinned(std::move(x), std::move(y), train.MaxLength(),
-                    fe_timer.Seconds());
+    // The one-block case of the streaming fit: both passes visit the
+    // already-extracted matrix.
+    FitSketchBinned([&](const RowBlockFn& fn) { fn(x, train); }, fe_timer);
     return;
   }
-  FitOnExtracted(std::move(x), std::move(y), train.MaxLength(),
+  FitOnExtracted(std::move(x), train.labels(), train.MaxLength(),
                  fe_timer.Seconds());
 }
 
-void MvgClassifier::FitSketchBinned(Matrix x, std::vector<int> y,
-                                    size_t max_len, double fe_seconds) {
-  const size_t threads = config_.reducer != nullptr ? 1 : ResolvedThreads();
-  train_length_ = max_len;
-  fe_seconds_ = fe_seconds;
+void MvgClassifier::FitPaged(PagedUcrReader* reader) {
+  if (reader == nullptr) {
+    throw std::invalid_argument("MvgClassifier::FitPaged: null reader");
+  }
+  WallTimer fe_timer;
+  if (UseSketchBinned()) {
+    // Each pass re-reads and re-extracts the pages, so peak memory is
+    // O(page + sketches + table): the row-major double matrix never
+    // exists.
+    FitSketchBinned(
+        [&](const RowBlockFn& fn) { ForEachExtractedPage(reader, fn); },
+        fe_timer);
+    return;
+  }
 
-  // One streaming pass builds the bin cuts; the sketch state is a pure
-  // function of the row-ordered stream, so it equals the paged fit's
-  // page-by-page sketch bit for bit.
+  Matrix x;
+  std::vector<int> y;
+  size_t max_len = 0;
+  size_t max_width = 0;
+  ForEachExtractedPage(reader, [&](Matrix& rows, const Dataset& page) {
+    // Extraction is per-series (one row depends only on its own series),
+    // so extracting page by page and padding to the *global* max width at
+    // the end yields exactly the matrix ExtractAll builds in one shot —
+    // the foundation of the paged-vs-in-RAM bit-identity contract.
+    max_len = std::max(max_len, page.MaxLength());
+    for (auto& row : rows) {
+      max_width = std::max(max_width, row.size());
+      x.push_back(std::move(row));
+    }
+    y.insert(y.end(), page.labels().begin(), page.labels().end());
+  });
+  if (x.empty()) {
+    throw std::invalid_argument("MvgClassifier: empty train");
+  }
+  for (auto& row : x) row.resize(max_width, 0.0);
+  FitOnExtracted(std::move(x), std::move(y), max_len, fe_timer.Seconds());
+}
+
+void MvgClassifier::ForEachExtractedPage(PagedUcrReader* reader,
+                                         const RowBlockFn& fn) const {
+  const size_t threads = ResolvedThreads();
+  reader->Reset();
+  SeriesPage page;
+  while (reader->NextPage(&page)) {
+    Dataset chunk;
+    for (size_t i = 0; i < page.size(); ++i) {
+      chunk.Add(std::move(page.series[i]), page.labels[i]);
+    }
+    Matrix rows = extractor_.ExtractAll(chunk, threads);
+    fn(rows, chunk);
+  }
+}
+
+void MvgClassifier::FitSketchBinned(const RowBlockSource& blocks,
+                                    const WallTimer& fe_timer) {
+  // Sketching and binning are collective-free and thread-count invariant,
+  // so they keep the full budget even in distributed training.
+  const size_t threads = ResolvedThreads();
+
+  // Pass 1 folds every feature row into the quantile sketches and
+  // collects labels and lengths. The sketch state is a pure function of
+  // the row-ordered stream, so the cuts do not depend on how the rows
+  // are blocked: the paged fit equals the in-RAM fit bit for bit.
   CutSketcher sketcher(FeatureTable::kMaxBins);
-  sketcher.AddRows(x, threads);
+  std::vector<int> y;
+  size_t max_len = 0;
+  blocks([&](Matrix& rows, const Dataset& series) {
+    sketcher.AddRows(rows, threads);
+    y.insert(y.end(), series.labels().begin(), series.labels().end());
+    max_len = std::max(max_len, series.MaxLength());
+  });
+  if (y.empty()) {
+    throw std::invalid_argument("MvgClassifier: empty train");
+  }
   const CutSketcher::FeatureCuts fc = sketcher.Finish();
 
-  // Oversampling duplicates whole rows, so it happens in index space and
-  // the duplicates are copied bin-wise after the originals are binned.
-  const size_t n = x.size();
+  // Oversampling duplicates whole rows, so it happens in index space:
+  // pass 2 bins the originals straight into the column-major table, and
+  // the duplicates are copied bin-wise afterwards.
+  const size_t n = y.size();
   std::vector<size_t> os;
   if (config_.oversample) {
     os = OversampleIndices(y, config_.seed);
@@ -214,146 +276,51 @@ void MvgClassifier::FitSketchBinned(Matrix x, std::vector<int> y,
 
   FeatureTable ft;
   ft.InitFromCuts(fc.cuts, fc.cut_offset, os.size());
-  ParallelFor(n, threads,
-              [&](size_t r) { ft.BinRowInto(x[r].data(), x[r].size(), r); });
+  size_t next_row = 0;
+  blocks([&](Matrix& rows, const Dataset&) {
+    const size_t base = next_row;
+    next_row += rows.size();
+    if (next_row > n) return;  // reported below, before any slot overflows.
+    ParallelFor(rows.size(), threads, [&](size_t i) {
+      ft.BinRowInto(rows[i].data(), rows[i].size(), base + i);
+    });
+  });
+  if (next_row != n) {
+    throw std::runtime_error(
+        "MvgClassifier::FitPaged: file changed between passes");
+  }
   for (size_t i = n; i < os.size(); ++i) ft.CopyRow(os[i], i);
+  train_length_ = max_len;
+  feature_width_ = ft.num_features();
+  fe_seconds_ = fe_timer.Seconds();
 
-  TrainBinnedTail(&ft, fc, std::move(y_os));
-}
-
-void MvgClassifier::TrainBinnedTail(FeatureTable* ft,
-                                    const CutSketcher::FeatureCuts& fc,
-                                    std::vector<int> y_os) {
-  const size_t threads = config_.reducer != nullptr ? 1 : ResolvedThreads();
-  feature_width_ = ft->num_features();
-
+  // Distributed training serialises the grid and tree loops (see
+  // FitOnExtracted).
+  const size_t train_threads = config_.reducer != nullptr ? 1 : threads;
   WallTimer train_timer;
   // The sketches track exact per-feature bounds, and duplication cannot
   // move a min or max, so this scaler state matches Fit() on the
   // materialised (oversampled) matrix exactly.
   scaler_.FitFromBounds(fc.mins, fc.maxs);
 
-  const std::vector<ClassifierFactory> candidates = BuildCandidates(threads);
+  const std::vector<ClassifierFactory> candidates =
+      BuildCandidates(train_threads);
   size_t best = 0;
   if (candidates.size() > 1 && config_.grid != GridPreset::kNone) {
     const std::vector<FoldIndices> folds =
         StratifiedKFold(y_os, config_.cv_folds, config_.seed);
-    best = GridSearchBinned(candidates, *ft, y_os, folds, threads).best_index;
+    best = GridSearchBinned(candidates, ft, y_os, folds, train_threads)
+               .best_index;
   }
-  std::vector<size_t> all(ft->num_rows());
+  std::vector<size_t> all(ft.num_rows());
   std::iota(all.begin(), all.end(), size_t{0});
-  model_ = BuildCandidates(threads)[best]();
-  model_->FitBinned(*ft, y_os, all);
+  model_ = candidates[best]();
+  model_->FitBinned(ft, y_os, all);
   train_seconds_ = train_timer.Seconds();
   if (config_.reducer != nullptr) {
     fe_seconds_ = 0.0;
     train_seconds_ = 0.0;
   }
-}
-
-void MvgClassifier::FitPaged(PagedUcrReader* reader) {
-  if (reader == nullptr) {
-    throw std::invalid_argument("MvgClassifier::FitPaged: null reader");
-  }
-  const size_t threads = ResolvedThreads();
-
-  if (UseSketchBinned()) {
-    // Two-pass streaming fit. Pass A: extract page by page and fold every
-    // feature row into the quantile sketches (plus labels and lengths) —
-    // nothing row-major is retained. Pass B: re-read the file, re-extract
-    // and bin each row straight into the column-major table. Peak memory
-    // is O(page + sketches + table); the row-major double matrix never
-    // exists. The sketch state — and so the cuts, the table and the
-    // fitted model — is bit-identical to FitSketchBinned on the whole
-    // dataset, because the per-feature streams are identical.
-    WallTimer fe_timer;
-    CutSketcher sketcher(FeatureTable::kMaxBins);
-    std::vector<int> y;
-    size_t max_len = 0;
-    SeriesPage page;
-    while (reader->NextPage(&page)) {
-      Dataset chunk;
-      for (size_t i = 0; i < page.size(); ++i) {
-        max_len = std::max(max_len, page.series[i].size());
-        chunk.Add(std::move(page.series[i]), page.labels[i]);
-      }
-      const Matrix rows = extractor_.ExtractAll(chunk, threads);
-      sketcher.AddRows(rows, threads);
-      y.insert(y.end(), page.labels.begin(), page.labels.end());
-    }
-    if (y.empty()) {
-      throw std::invalid_argument("MvgClassifier: empty train");
-    }
-    const CutSketcher::FeatureCuts fc = sketcher.Finish();
-
-    const size_t n = y.size();
-    std::vector<size_t> os;
-    if (config_.oversample) {
-      os = OversampleIndices(y, config_.seed);
-    } else {
-      os.resize(n);
-      std::iota(os.begin(), os.end(), size_t{0});
-    }
-    std::vector<int> y_os;
-    y_os.reserve(os.size());
-    for (size_t i : os) y_os.push_back(y[i]);
-
-    FeatureTable ft;
-    ft.InitFromCuts(fc.cuts, fc.cut_offset, os.size());
-    reader->Reset();
-    size_t next_row = 0;
-    while (reader->NextPage(&page)) {
-      Dataset chunk;
-      for (size_t i = 0; i < page.size(); ++i) {
-        chunk.Add(std::move(page.series[i]), page.labels[i]);
-      }
-      const Matrix rows = extractor_.ExtractAll(chunk, threads);
-      const size_t base = next_row;
-      ParallelFor(rows.size(), threads, [&](size_t i) {
-        ft.BinRowInto(rows[i].data(), rows[i].size(), base + i);
-      });
-      next_row += rows.size();
-    }
-    if (next_row != n) {
-      throw std::runtime_error(
-          "MvgClassifier::FitPaged: file changed between passes");
-    }
-    for (size_t i = n; i < os.size(); ++i) ft.CopyRow(os[i], i);
-
-    train_length_ = max_len;
-    fe_seconds_ = fe_timer.Seconds();
-    TrainBinnedTail(&ft, fc, std::move(y_os));
-    return;
-  }
-
-  WallTimer fe_timer;
-  Matrix x;
-  std::vector<int> y;
-  size_t max_len = 0;
-  size_t max_width = 0;
-  SeriesPage page;
-  while (reader->NextPage(&page)) {
-    // Extraction is per-series (one row depends only on its own series),
-    // so extracting page by page and padding to the *global* max width at
-    // the end yields exactly the matrix ExtractAll builds in one shot —
-    // the foundation of the paged-vs-in-RAM bit-identity contract.
-    Dataset chunk;
-    for (size_t i = 0; i < page.size(); ++i) {
-      max_len = std::max(max_len, page.series[i].size());
-      chunk.Add(std::move(page.series[i]), page.labels[i]);
-    }
-    Matrix rows = extractor_.ExtractAll(chunk, threads);
-    for (auto& row : rows) {
-      max_width = std::max(max_width, row.size());
-      x.push_back(std::move(row));
-    }
-    y.insert(y.end(), page.labels.begin(), page.labels.end());
-  }
-  if (x.empty()) {
-    throw std::invalid_argument("MvgClassifier: empty train");
-  }
-  for (auto& row : x) row.resize(max_width, 0.0);
-  FitOnExtracted(std::move(x), std::move(y), max_len, fe_timer.Seconds());
 }
 
 void MvgClassifier::FitOnExtracted(Matrix x, std::vector<int> y,
@@ -408,7 +375,7 @@ void MvgClassifier::FitOnExtracted(Matrix x, std::vector<int> y,
                         threads)
                  .best_index;
     }
-    model_ = BuildCandidates(threads)[best]();
+    model_ = candidates[best]();
     model_->Fit(x_used, y);
   }
   train_seconds_ = train_timer.Seconds();

@@ -2,6 +2,7 @@
 #define MVG_CORE_MVG_CLASSIFIER_H_
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -11,12 +12,12 @@
 #include "core/feature_extractor.h"
 #include "ml/classifier.h"
 #include "ml/preprocessing.h"
-#include "ml/quantile_sketch.h"
 
 namespace mvg {
 
 class BinaryReader;
 class PagedUcrReader;
+class WallTimer;
 
 /// Which generic classifier family sits on top of the graph features
 /// (paper §3.2/§4.3).
@@ -63,13 +64,6 @@ class MvgClassifier : public SeriesClassifier {
     /// enumeration instead of the default binned histograms (slower;
     /// kept for parity testing and as a reference).
     bool exact_splits = false;
-    /// Escape hatch: derive the histogram bin cuts from exact sorted
-    /// feature columns (each candidate fit re-sorts the materialised
-    /// matrix — the legacy path) instead of the default one-pass
-    /// mergeable quantile sketch shared by all candidates. Runtime knob
-    /// only — not serialized; ignored for SVM/stacking and when
-    /// exact_splits is set.
-    bool exact_bins = false;
     /// Distributed histogram-merge seam (runtime-only, never serialized;
     /// not owned). When set, this process is one rank of a training
     /// group: tree candidates accumulate histograms over their owned row
@@ -84,12 +78,14 @@ class MvgClassifier : public SeriesClassifier {
   explicit MvgClassifier(Config config);
 
   void Fit(const Dataset& train) override;
-  /// Out-of-core Fit: consumes a UCR file page by page, so peak raw-series
-  /// memory is O(page) instead of O(dataset) — extracted feature rows (a
-  /// few KiB per series) still accumulate, since training is batch. The
-  /// fitted model is bit-identical to Fit() on ReadUcrFile of the same
-  /// file: pages are processed in file order and padding/oversampling/
-  /// search see exactly the same feature matrix.
+  /// Out-of-core Fit: reads the whole UCR file (rewinding `reader` first)
+  /// page by page, so peak raw-series memory is O(page) instead of
+  /// O(dataset). The tree families stream twice through the pages and
+  /// never hold the feature matrix; SVM, stacking and exact_splits fits
+  /// accumulate the extracted rows (a few KiB per series). The fitted
+  /// model is bit-identical to Fit() on ReadUcrFile of the same file:
+  /// pages are processed in file order and sketching/padding/oversampling/
+  /// search see exactly the same feature rows.
   void FitPaged(PagedUcrReader* reader);
   int Predict(const Series& s) const override;
   /// Pooled variant: feature extraction routes every graph build through
@@ -155,32 +151,44 @@ class MvgClassifier : public SeriesClassifier {
   size_t ResolvedThreads() const;
 
   /// Everything Fit() does after feature extraction (oversample, scale,
-  /// grid search, final fit) — the shared tail of Fit and FitPaged.
+  /// grid search, final fit) on the matrix path — SVM, stacking and
+  /// exact_splits — shared by Fit and FitPaged.
   /// `x` rows must already be padded to a uniform width; `fe_seconds` is
   /// the measured extraction time, `max_len` the longest training series.
   void FitOnExtracted(Matrix x, std::vector<int> y, size_t max_len,
                       double fe_seconds);
 
   /// True when training runs on the streaming sketch-binned path: tree
-  /// families with histogram splits and sketch-derived cuts (the
-  /// default). SVM and stacking consume raw feature values, and the
-  /// exact_* escape hatches opt back into the legacy matrix path.
+  /// families with histogram splits (the default). SVM and stacking
+  /// consume raw feature values, and exact_splits sorts them, so those
+  /// take the matrix path.
   bool UseSketchBinned() const;
 
-  /// Sketch-binned tail of the in-RAM Fit(): one sketch pass over the
-  /// already-extracted matrix, then TrainBinnedTail. Produces exactly the
-  /// sketch state (and therefore model) of the paged two-pass fit.
-  void FitSketchBinned(Matrix x, std::vector<int> y, size_t max_len,
-                       double fe_seconds);
+  /// One block of extracted training rows and the series (labels,
+  /// lengths) behind them. Rows are zero-padded to the block's widest row
+  /// only. A receiver that reads the blocks once may move rows out;
+  /// FitSketchBinned's passes only read them.
+  using RowBlockFn = std::function<void(Matrix& rows, const Dataset& series)>;
+  /// A re-readable training set: each call hands every row to the
+  /// callback once, block by block, in training order.
+  using RowBlockSource = std::function<void(const RowBlockFn&)>;
 
-  /// Shared back half of the sketch-binned fits: `ft` holds every
-  /// training row (oversample duplicates included) binned against the
-  /// sketch cuts `fc`, `y_os` the matching labels. Fits the scaler from
-  /// the sketches' exact bounds, grid-searches via GridSearchBinned and
-  /// refits the winner with Classifier::FitBinned — no double feature
-  /// matrix anywhere.
-  void TrainBinnedTail(FeatureTable* ft, const CutSketcher::FeatureCuts& fc,
-                       std::vector<int> y_os);
+  /// Rewinds `reader` and hands each page to `fn`, extracted.
+  void ForEachExtractedPage(PagedUcrReader* reader,
+                            const RowBlockFn& fn) const;
+
+  /// The streaming sketch-binned fit of the tree families. Pass 1 feeds
+  /// `blocks` into the quantile sketches; pass 2 bins every row straight
+  /// into a FeatureTable against the sketch cuts, and oversample
+  /// duplicates are copied bin-wise. The scaler is fitted from the
+  /// sketches' exact bounds, GridSearchBinned picks the candidate and
+  /// Classifier::FitBinned refits it — no double feature matrix anywhere.
+  /// The in-RAM Fit is the one-block case (its extracted matrix serves
+  /// both passes); FitPaged re-extracts the pages for each pass.
+  /// `fe_timer` started before extraction; everything up to training
+  /// counts as feature extraction time.
+  void FitSketchBinned(const RowBlockSource& blocks,
+                       const WallTimer& fe_timer);
 
  public:
   // Model-format internals (serve/model_io.cc) — public only so the

@@ -297,14 +297,14 @@ void GradientBoostingClassifier::Fit(const Matrix& x,
   const std::vector<size_t> encoded = PrepareFit(x, y);
   std::vector<size_t> src(x.size());
   std::iota(src.begin(), src.end(), size_t{0});
-  FitView(x, src, encoded);
+  FitMatrix(x, src, encoded);
 }
 
 void GradientBoostingClassifier::FitOnRows(const Matrix& x,
                                            const std::vector<int>& y,
                                            const std::vector<size_t>& rows) {
   const std::vector<size_t> encoded = PrepareFitOnRows(x, y, rows);
-  FitView(x, rows, encoded);
+  FitMatrix(x, rows, encoded);
 }
 
 void GradientBoostingClassifier::FitBinned(const FeatureTable& ft,
@@ -312,148 +312,49 @@ void GradientBoostingClassifier::FitBinned(const FeatureTable& ft,
                                            const std::vector<size_t>& rows) {
   const std::vector<size_t> encoded =
       PrepareFitBinned(ft.num_rows(), y, rows);
-  FitViewBinned(ft, rows, encoded);
-}
-
-void GradientBoostingClassifier::FitViewBinned(
-    const FeatureTable& ft, const std::vector<size_t>& rows_global,
-    const std::vector<size_t>& encoded) {
   if (params_.split != SplitMode::kHistogram) {
     throw std::invalid_argument(
         "GradientBoosting: FitBinned requires histogram split mode");
   }
-  const size_t n = rows_global.size();
-  const size_t d = ft.num_features();
-  const size_t k = encoder_.num_classes();
-  num_features_ = d;
-  feature_gain_.assign(d, 0.0);
-  ResetStorage();
-
-  const bool binary = k == 2;
-  const size_t num_outputs = binary ? 1 : k;
-  trees_per_round_ = num_outputs;
-  const size_t tree_threads =
-      params_.reducer != nullptr ? 1 : params_.num_threads;
-
-  base_score_.assign(num_outputs, 0.0);
-  if (binary) {
-    double pos = 0.0;
-    for (size_t c : encoded) pos += static_cast<double>(c);
-    const double p = std::clamp(pos / static_cast<double>(n), 1e-6, 1.0 - 1e-6);
-    base_score_[0] = std::log(p / (1.0 - p));
-  }
-
-  // Logits/probs are compact (one slot per training row); the
-  // gradient/hessian buffers are table-indexed — ghs[out][2g] for table
-  // row g — because the histogram scans and the distributed row-ownership
-  // ranges address rows by table id. Rows outside the subset stay zero
-  // and are never scanned.
-  const size_t total = ft.num_rows();
-  Matrix logits(n, base_score_);
-  Matrix probs(n, std::vector<double>(num_outputs));
-  std::vector<std::vector<double>> ghs(num_outputs,
-                                       std::vector<double>(2 * total, 0.0));
-  std::vector<std::vector<double>> out_gains(num_outputs,
-                                             std::vector<double>(d));
-
-  constexpr size_t kRowGrain = 512;
-
-  Rng rng(params_.seed);
-  for (size_t round = 0; round < params_.num_rounds; ++round) {
-    obs::ObsSpan round_span(obs::PipelineMetrics::Get().gbt_round_seconds);
-    // Row subsample: drawn in compact indexing (so the draw sequence
-    // matches any other fit on n rows), then mapped to table ids.
-    std::vector<size_t> rows;
-    if (params_.subsample < 1.0) {
-      const size_t take = std::max<size_t>(
-          2, static_cast<size_t>(params_.subsample * static_cast<double>(n)));
-      const std::vector<size_t> sel = rng.Sample(n, take);
-      rows.resize(sel.size());
-      for (size_t i = 0; i < sel.size(); ++i) rows[i] = rows_global[sel[i]];
-    } else {
-      rows = rows_global;
-    }
-    std::vector<std::vector<size_t>> cols(num_outputs);
-    for (size_t out = 0; out < num_outputs; ++out) {
-      if (params_.colsample < 1.0) {
-        const size_t take = std::max<size_t>(
-            1,
-            static_cast<size_t>(params_.colsample * static_cast<double>(d)));
-        cols[out] = rng.Sample(d, take);
-      } else {
-        cols[out].resize(d);
-        std::iota(cols[out].begin(), cols[out].end(), size_t{0});
-      }
-    }
-
-    // Fused softmax-gradient pass, writing to the table-indexed buffers.
-    ParallelFor(
-        n, params_.num_threads,
-        [&](size_t i) {
-          const double* lg = logits[i].data();
-          double* pr = probs[i].data();
-          if (binary) {
-            pr[0] = Sigmoid(lg[0]);
-          } else {
-            SoftmaxInto(lg, num_outputs, pr);
-          }
-          const size_t g = rows_global[i];
-          for (size_t out = 0; out < num_outputs; ++out) {
-            const double p = pr[binary ? 0 : out];
-            const double target =
-                (binary ? encoded[i] == 1 : encoded[i] == out) ? 1.0 : 0.0;
-            double* cell = ghs[out].data() + 2 * g;
-            cell[0] = p - target;
-            cell[1] = std::max(1e-12, p * (1.0 - p));
-          }
-        },
-        kRowGrain);
-
-    std::vector<Tree> round_trees(num_outputs);
-    std::vector<std::vector<uint16_t>> round_bins(num_outputs);
-    ParallelFor(num_outputs, tree_threads, [&](size_t out) {
-      std::fill(out_gains[out].begin(), out_gains[out].end(), 0.0);
-      Tree tree;
-      HistBuilder builder(ft, ghs[out], params_, cols[out], &tree,
-                          &out_gains[out]);
-      builder.node_bins = &round_bins[out];
-      builder.Run(rows);
-      round_trees[out] = std::move(tree);
-    });
-    for (size_t out = 0; out < num_outputs; ++out) {
-      for (size_t f = 0; f < d; ++f) feature_gain_[f] += out_gains[out][f];
-    }
-
-    for (size_t out = 0; out < num_outputs; ++out) {
-      UpdateLogitsWithTreeBinned(round_trees[out].data(),
-                                 round_bins[out].data(), ft, rows_global,
-                                 params_.learning_rate, out, &logits,
-                                 params_.num_threads);
-    }
-    for (const Tree& tree : round_trees) AppendTree(tree);
-    ++num_rounds_;
-  }
+  FitRounds(&ft, nullptr, rows, encoded);
 }
 
-void GradientBoostingClassifier::FitView(const Matrix& x,
-                                         const std::vector<size_t>& src,
-                                         const std::vector<size_t>& encoded) {
-  const size_t n = src.size();
-  const size_t d = x[src[0]].size();
-  const size_t k = encoder_.num_classes();
-  num_features_ = d;
-  feature_gain_.assign(d, 0.0);
-  ResetStorage();
+void GradientBoostingClassifier::FitMatrix(const Matrix& x,
+                                           const std::vector<size_t>& src,
+                                           const std::vector<size_t>& encoded) {
+  if (params_.split != SplitMode::kHistogram) {
+    FitRounds(nullptr, &x, src, encoded);
+    return;
+  }
+  // Histogram mode bins the rows once and trains on the table, exactly as
+  // FitBinned does: table row i is x[src[i]].
+  FeatureTable ft;
+  ft.Build(x, src, params_.max_bins);
+  std::vector<size_t> all(src.size());
+  std::iota(all.begin(), all.end(), size_t{0});
+  FitRounds(&ft, nullptr, all, encoded);
+}
 
-  const bool binary = k == 2;
-  const size_t num_outputs = binary ? 1 : k;
-  trees_per_round_ = num_outputs;
-  const bool hist = params_.split == SplitMode::kHistogram;
+void GradientBoostingClassifier::FitRounds(const FeatureTable* ft,
+                                           const Matrix* x,
+                                           const std::vector<size_t>& rows,
+                                           const std::vector<size_t>& encoded) {
+  const bool hist = ft != nullptr;
   if (params_.reducer != nullptr && !hist) {
     throw std::invalid_argument(
         "GradientBoosting: distributed training requires histogram split "
         "mode");
   }
+  const size_t n = rows.size();
+  const size_t d = hist ? ft->num_features() : (*x)[rows[0]].size();
+  const size_t k = encoder_.num_classes();
+  num_features_ = d;
+  feature_gain_.assign(d, 0.0);
+  ResetStorage();
+
+  const bool binary = k == 2;
+  const size_t num_outputs = binary ? 1 : k;
+  trees_per_round_ = num_outputs;
   // Distributed fits run the per-output tree loop sequentially: every
   // tree issues allreduce rounds, and all ranks must reach them in the
   // same order. The per-sample loss/logit loops stay parallel — they
@@ -470,18 +371,20 @@ void GradientBoostingClassifier::FitView(const Matrix& x,
     base_score_[0] = std::log(p / (1.0 - p));
   }
 
-  // Quantize once per fit; shared read-only by every tree of every round.
-  FeatureTable ft;
-  if (hist) ft.Build(x, src, params_.max_bins);
-
-  // Current logit / probability per sample per output, and per-output
-  // row-interleaved gradient/hessian buffers (ghs[out][2i] = grad,
-  // ghs[out][2i+1] = hess — the layout the histogram scans consume) — all
-  // hoisted out of the round loop.
+  // Logits/probs are compact (one slot per training row). The tree
+  // builders address rows by id: table row ids in histogram mode (so the
+  // scans and the distributed row-ownership ranges work on table ids
+  // unchanged), compact ids in exact mode (whose builder reads
+  // x[rows[id]]). The row-interleaved gradient/hessian buffers —
+  // ghs[out][2id] = grad, ghs[out][2id+1] = hess, the layout the scans
+  // consume — are id-indexed; ids outside the subset stay zero and are
+  // never visited.
+  const auto id = [&](size_t i) { return hist ? rows[i] : i; };
+  const size_t num_ids = hist ? ft->num_rows() : n;
   Matrix logits(n, base_score_);
   Matrix probs(n, std::vector<double>(num_outputs));
   std::vector<std::vector<double>> ghs(num_outputs,
-                                       std::vector<double>(2 * n));
+                                       std::vector<double>(2 * num_ids, 0.0));
   std::vector<std::vector<double>> out_gains(num_outputs,
                                              std::vector<double>(d));
 
@@ -493,16 +396,19 @@ void GradientBoostingClassifier::FitView(const Matrix& x,
   Rng rng(params_.seed);
   for (size_t round = 0; round < params_.num_rounds; ++round) {
     obs::ObsSpan round_span(obs::PipelineMetrics::Get().gbt_round_seconds);
-    // Row subsample (shared across the round's trees).
-    std::vector<size_t> rows;
+    // Row subsample (shared across the round's trees): drawn in compact
+    // indexing, so the draw sequence is the same for every entry point,
+    // then mapped to ids.
+    std::vector<size_t> sample;
     if (params_.subsample < 1.0) {
       const size_t take = std::max<size_t>(
           2, static_cast<size_t>(params_.subsample * static_cast<double>(n)));
-      rows = rng.Sample(n, take);
+      sample = rng.Sample(n, take);
     } else {
-      rows.resize(n);
-      std::iota(rows.begin(), rows.end(), size_t{0});
+      sample.resize(n);
+      std::iota(sample.begin(), sample.end(), size_t{0});
     }
+    for (size_t& i : sample) i = id(i);
     // Column subsample per tree — pre-drawn in output order so the
     // parallel tree workers never touch the shared RNG.
     std::vector<std::vector<size_t>> cols(num_outputs);
@@ -522,8 +428,7 @@ void GradientBoostingClassifier::FitView(const Matrix& x,
     // probabilities AND every output's (grad, hess) pair straight into the
     // interleaved buffers. Each (row, output) cell is a pure function of
     // that row's logits, so the fusion (and the thread partitioning) is
-    // invisible in the results; the serial path used to recompute the
-    // softmax for every output and fill the gradients tree by tree.
+    // invisible in the results.
     ParallelFor(
         n, params_.num_threads,
         [&](size_t i) {
@@ -538,7 +443,7 @@ void GradientBoostingClassifier::FitView(const Matrix& x,
             const double p = pr[binary ? 0 : out];
             const double target =
                 (binary ? encoded[i] == 1 : encoded[i] == out) ? 1.0 : 0.0;
-            double* cell = ghs[out].data() + 2 * i;
+            double* cell = ghs[out].data() + 2 * id(i);
             cell[0] = p - target;
             cell[1] = std::max(1e-12, p * (1.0 - p));
           }
@@ -548,29 +453,35 @@ void GradientBoostingClassifier::FitView(const Matrix& x,
     // One tree per output, fitted concurrently; gains are accumulated
     // per output and merged in output order below.
     std::vector<Tree> round_trees(num_outputs);
+    std::vector<std::vector<uint16_t>> round_bins(num_outputs);
     ParallelFor(num_outputs, tree_threads, [&](size_t out) {
       std::fill(out_gains[out].begin(), out_gains[out].end(), 0.0);
       if (hist) {
-        Tree tree;
-        HistBuilder builder(ft, ghs[out], params_, cols[out], &tree,
-                            &out_gains[out]);
-        builder.Run(rows);
-        round_trees[out] = std::move(tree);
+        HistBuilder builder(*ft, ghs[out], params_, cols[out],
+                            &round_trees[out], &out_gains[out]);
+        builder.node_bins = &round_bins[out];
+        builder.Run(sample);
       } else {
-        round_trees[out] =
-            BuildTreeExact(x, src, ghs[out], rows, cols[out],
-                           &out_gains[out]);
+        round_trees[out] = BuildTreeExact(*x, rows, ghs[out], sample,
+                                          cols[out], &out_gains[out]);
       }
     });
     for (size_t out = 0; out < num_outputs; ++out) {
       for (size_t f = 0; f < d; ++f) feature_gain_[f] += out_gains[out][f];
     }
 
-    // Update logits with shrinkage (the interleaved-traversal kernel).
+    // Update logits with shrinkage.
     for (size_t out = 0; out < num_outputs; ++out) {
-      UpdateLogitsWithTree(round_trees[out].data(), x, src,
-                           params_.learning_rate, out, &logits,
-                           params_.num_threads);
+      if (hist) {
+        UpdateLogitsWithTreeBinned(round_trees[out].data(),
+                                   round_bins[out].data(), *ft, rows,
+                                   params_.learning_rate, out, &logits,
+                                   params_.num_threads);
+      } else {
+        UpdateLogitsWithTree(round_trees[out].data(), *x, rows,
+                             params_.learning_rate, out, &logits,
+                             params_.num_threads);
+      }
     }
     for (const Tree& tree : round_trees) AppendTree(tree);
     ++num_rounds_;
@@ -669,11 +580,6 @@ int32_t GradientBoostingClassifier::BuildTreeNode(
   (*tree)[id].left = left;
   (*tree)[id].right = right;
   return id;
-}
-
-double GradientBoostingClassifier::PredictTree(const Tree& tree,
-                                               const std::vector<double>& x) {
-  return PredictTreeAt(tree.data(), x);
 }
 
 void GradientBoostingClassifier::UpdateLogitsWithTree(

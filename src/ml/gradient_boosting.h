@@ -120,18 +120,21 @@ class GradientBoostingClassifier : public Classifier {
 
   struct HistBuilder;  // histogram split engine; defined in the .cc.
 
-  /// Shared Fit implementation on a compact row view: compact row i reads
-  /// x[src[i]], `encoded` is indexed by compact row.
-  void FitView(const Matrix& x, const std::vector<size_t>& src,
-               const std::vector<size_t>& encoded);
+  /// Matrix entry (Fit/FitOnRows): compact row i reads x[src[i]],
+  /// `encoded` is indexed by compact row. Histogram mode builds a
+  /// FeatureTable on those rows and runs FitRounds on it, so a matrix fit
+  /// and FitBinned on the same table train the same model.
+  void FitMatrix(const Matrix& x, const std::vector<size_t>& src,
+                 const std::vector<size_t>& encoded);
 
-  /// FitView on a pre-binned table: `rows_global` are table row ids,
-  /// `encoded` is compact (rows_global-order). Gradient/hessian buffers
-  /// are table-indexed so the histogram engine and the distributed row
-  /// ownership arithmetic operate on table ids unchanged.
-  void FitViewBinned(const FeatureTable& ft,
-                     const std::vector<size_t>& rows_global,
-                     const std::vector<size_t>& encoded);
+  /// The boosting-round loop every entry point runs. Histogram mode: `ft`
+  /// is set, `rows` are table row ids. Exact mode: `ft` is null and
+  /// compact row i reads (*x)[rows[i]]. `encoded` is compact
+  /// (rows-order). Only the per-round tree builder and the logit update
+  /// differ between the modes.
+  void FitRounds(const FeatureTable* ft, const Matrix* x,
+                 const std::vector<size_t>& rows,
+                 const std::vector<size_t>& encoded);
 
   /// Binned analogue of UpdateLogitsWithTree: descends on bin ids
   /// (ft.bin(f, r) <= node_bins[node], exactly the partition the builder
@@ -159,7 +162,6 @@ class GradientBoostingClassifier : public Classifier {
                         const std::vector<size_t>& cols, size_t depth,
                         Tree* tree, std::vector<double>* gains);
 
-  static double PredictTree(const Tree& tree, const std::vector<double>& x);
   /// Walks one tree inside the flat node storage.
   static double PredictTreeAt(const TreeNode* nodes,
                               const std::vector<double>& x);

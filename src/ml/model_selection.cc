@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <stdexcept>
+#include <string>
 
 #include "ml/feature_table.h"
 #include "ml/metrics.h"
@@ -116,27 +117,62 @@ double ScoreCellBinned(const ClassifierFactory& factory,
   return LogLoss(yval, proba, clf->classes());
 }
 
-/// Shared CV loop over precomputed folds; `use_log_loss` picks the score.
+/// The cross-validation core of every entry point below. The candidate x
+/// fold cells are independent, so they all fan out at once onto the
+/// executor pool — a cell's own tree-level parallelism submits nested
+/// tasks to the same pool rather than spawning — and each candidate's
+/// score is reduced in fold order afterwards, so the scores are
+/// bit-identical for every thread count and pool size. `score(c, fold)`
+/// scores candidate c on one fold; `name` prefixes the error messages.
+template <typename ScoreFn>
+GridSearchResult SearchCells(const char* name, size_t num_candidates,
+                             const std::vector<int>& y,
+                             const std::vector<FoldIndices>& folds,
+                             size_t num_threads, ScoreFn&& score) {
+  if (num_candidates == 0) {
+    throw std::invalid_argument(std::string(name) + ": no candidates");
+  }
+  const std::vector<char> usable = UsableFolds(folds, y);
+  const size_t num_cells = num_candidates * folds.size();
+  std::vector<double> cell_scores(num_cells, 0.0);
+  ParallelFor(num_cells, num_threads, [&](size_t cell) {
+    const size_t c = cell / folds.size();
+    const size_t f = cell % folds.size();
+    if (usable[f]) cell_scores[cell] = score(c, folds[f]);
+  });
+
+  GridSearchResult result;
+  result.scores.reserve(num_candidates);
+  size_t used = 0;
+  for (size_t f = 0; f < folds.size(); ++f) used += usable[f] ? 1 : 0;
+  if (used == 0) {
+    throw std::runtime_error(std::string(name) + ": no usable folds");
+  }
+  for (size_t c = 0; c < num_candidates; ++c) {
+    double total = 0.0;
+    for (size_t f = 0; f < folds.size(); ++f) {
+      if (usable[f]) total += cell_scores[c * folds.size() + f];
+    }
+    result.scores.push_back(total / static_cast<double>(used));
+  }
+  result.best_index = static_cast<size_t>(
+      std::min_element(result.scores.begin(), result.scores.end()) -
+      result.scores.begin());
+  result.best_score = result.scores[result.best_index];
+  return result;
+}
+
+/// CV score of one candidate over precomputed folds; `use_log_loss`
+/// picks the score.
 double CrossValScore(const ClassifierFactory& factory, const Matrix& x,
                      const std::vector<int>& y,
                      const std::vector<FoldIndices>& folds, bool use_log_loss,
                      size_t num_threads) {
-  const std::vector<char> usable = UsableFolds(folds, y);
-  std::vector<double> scores(folds.size(), 0.0);
-  ParallelFor(folds.size(), num_threads, [&](size_t f) {
-    if (usable[f]) scores[f] = ScoreCell(factory, x, y, folds[f], use_log_loss);
-  });
-  double total = 0.0;
-  size_t used = 0;
-  for (size_t f = 0; f < folds.size(); ++f) {
-    if (!usable[f]) continue;
-    total += scores[f];
-    ++used;
-  }
-  if (used == 0) {
-    throw std::runtime_error("CrossValScore: no usable folds");
-  }
-  return total / static_cast<double>(used);
+  return SearchCells("CrossValScore", 1, y, folds, num_threads,
+                     [&](size_t, const FoldIndices& fold) {
+                       return ScoreCell(factory, x, y, fold, use_log_loss);
+                     })
+      .scores[0];
 }
 
 }  // namespace
@@ -181,86 +217,20 @@ GridSearchResult GridSearch(const std::vector<ClassifierFactory>& candidates,
                             const Matrix& x, const std::vector<int>& y,
                             const std::vector<FoldIndices>& folds,
                             size_t num_threads) {
-  if (candidates.empty()) {
-    throw std::invalid_argument("GridSearch: no candidates");
-  }
-  const std::vector<char> usable = UsableFolds(folds, y);
-  const size_t num_cells = candidates.size() * folds.size();
-
-  // Every candidate x fold cell is independent; fan them all out at once
-  // onto the executor pool — a cell's own tree-level parallelism submits
-  // nested tasks to the same pool rather than spawning — and reduce per
-  // candidate in fold order afterwards, so the scores are bit-identical
-  // for every thread count and pool size.
-  std::vector<double> cell_scores(num_cells, 0.0);
-  ParallelFor(num_cells, num_threads, [&](size_t cell) {
-    const size_t c = cell / folds.size();
-    const size_t f = cell % folds.size();
-    if (usable[f]) {
-      cell_scores[cell] = ScoreCell(candidates[c], x, y, folds[f], true);
-    }
-  });
-
-  GridSearchResult result;
-  result.scores.reserve(candidates.size());
-  size_t used = 0;
-  for (size_t f = 0; f < folds.size(); ++f) used += usable[f] ? 1 : 0;
-  if (used == 0) {
-    throw std::runtime_error("GridSearch: no usable folds");
-  }
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    double total = 0.0;
-    for (size_t f = 0; f < folds.size(); ++f) {
-      if (usable[f]) total += cell_scores[c * folds.size() + f];
-    }
-    result.scores.push_back(total / static_cast<double>(used));
-  }
-  result.best_index = static_cast<size_t>(
-      std::min_element(result.scores.begin(), result.scores.end()) -
-      result.scores.begin());
-  result.best_score = result.scores[result.best_index];
-  return result;
+  return SearchCells("GridSearch", candidates.size(), y, folds, num_threads,
+                     [&](size_t c, const FoldIndices& fold) {
+                       return ScoreCell(candidates[c], x, y, fold, true);
+                     });
 }
 
 GridSearchResult GridSearchBinned(
     const std::vector<ClassifierFactory>& candidates, const FeatureTable& ft,
     const std::vector<int>& y, const std::vector<FoldIndices>& folds,
     size_t num_threads) {
-  if (candidates.empty()) {
-    throw std::invalid_argument("GridSearchBinned: no candidates");
-  }
-  // Same cell fan-out and fold-order reduction as GridSearch, so scores
-  // are bit-identical for every thread count and pool size.
-  const std::vector<char> usable = UsableFolds(folds, y);
-  const size_t num_cells = candidates.size() * folds.size();
-  std::vector<double> cell_scores(num_cells, 0.0);
-  ParallelFor(num_cells, num_threads, [&](size_t cell) {
-    const size_t c = cell / folds.size();
-    const size_t f = cell % folds.size();
-    if (usable[f]) {
-      cell_scores[cell] = ScoreCellBinned(candidates[c], ft, y, folds[f]);
-    }
-  });
-
-  GridSearchResult result;
-  result.scores.reserve(candidates.size());
-  size_t used = 0;
-  for (size_t f = 0; f < folds.size(); ++f) used += usable[f] ? 1 : 0;
-  if (used == 0) {
-    throw std::runtime_error("GridSearchBinned: no usable folds");
-  }
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    double total = 0.0;
-    for (size_t f = 0; f < folds.size(); ++f) {
-      if (usable[f]) total += cell_scores[c * folds.size() + f];
-    }
-    result.scores.push_back(total / static_cast<double>(used));
-  }
-  result.best_index = static_cast<size_t>(
-      std::min_element(result.scores.begin(), result.scores.end()) -
-      result.scores.begin());
-  result.best_score = result.scores[result.best_index];
-  return result;
+  return SearchCells("GridSearchBinned", candidates.size(), y, folds,
+                     num_threads, [&](size_t c, const FoldIndices& fold) {
+                       return ScoreCellBinned(candidates[c], ft, y, fold);
+                     });
 }
 
 }  // namespace mvg

@@ -15,14 +15,14 @@ void RandomForestClassifier::Fit(const Matrix& x, const std::vector<int>& y) {
   const std::vector<size_t> encoded = PrepareFit(x, y);
   std::vector<size_t> src(x.size());
   std::iota(src.begin(), src.end(), size_t{0});
-  FitView(x, src, encoded, encoder_.num_classes());
+  FitMatrix(x, src, encoded);
 }
 
 void RandomForestClassifier::FitOnRows(const Matrix& x,
                                        const std::vector<int>& y,
                                        const std::vector<size_t>& rows) {
   const std::vector<size_t> encoded = PrepareFitOnRows(x, y, rows);
-  FitView(x, rows, encoded, encoder_.num_classes());
+  FitMatrix(x, rows, encoded);
 }
 
 void RandomForestClassifier::FitBinned(const FeatureTable& ft,
@@ -34,24 +34,59 @@ void RandomForestClassifier::FitBinned(const FeatureTable& ft,
   }
   const std::vector<size_t> encoded =
       PrepareFitBinned(ft.num_rows(), y, rows);
+  FitTrees(&ft, nullptr, rows, encoded);
+}
+
+void RandomForestClassifier::FitMatrix(const Matrix& x,
+                                       const std::vector<size_t>& src,
+                                       const std::vector<size_t>& encoded) {
+  if (params_.split != SplitMode::kHistogram) {
+    FitTrees(nullptr, &x, src, encoded);
+    return;
+  }
+  // Bin once and train on the table, exactly as FitBinned does: table row
+  // i is x[src[i]].
+  FeatureTable ft;
+  ft.Build(x, src, params_.max_bins);
+  std::vector<size_t> all(src.size());
+  std::iota(all.begin(), all.end(), size_t{0});
+  FitTrees(&ft, nullptr, all, encoded);
+}
+
+void RandomForestClassifier::FitTrees(const FeatureTable* ft, const Matrix* x,
+                                      const std::vector<size_t>& rows,
+                                      const std::vector<size_t>& encoded) {
+  const bool hist = ft != nullptr;
+  if (params_.reducer != nullptr && !hist) {
+    throw std::invalid_argument(
+        "RandomForest: distributed training requires histogram split mode");
+  }
   const size_t n = rows.size();
-  const size_t d = ft.num_features();
+  const size_t d = hist ? ft->num_features() : (*x)[rows[0]].size();
+  const size_t num_classes = encoder_.num_classes();
   const size_t mtry =
       params_.max_features > 0
           ? params_.max_features
           : std::max<size_t>(1, static_cast<size_t>(std::sqrt(
                                     static_cast<double>(d))));
 
-  // The tree engine reads labels by table row id; scatter the compact
-  // encoding into a table-sized vector (rows outside the subset are never
-  // visited).
-  std::vector<size_t> y_table(ft.num_rows(), 0);
-  for (size_t i = 0; i < n; ++i) y_table[rows[i]] = encoded[i];
+  // The trees address rows by id: table row ids in histogram mode, compact
+  // ids in exact mode (whose builder reads x[rows[id]]). Labels are
+  // id-indexed, so the compact encoding is scattered into a table-sized
+  // vector in histogram mode (rows outside the subset are never visited).
+  const auto id = [&](size_t i) { return hist ? rows[i] : i; };
+  std::vector<size_t> y_ids = encoded;
+  if (hist) {
+    y_ids.assign(ft->num_rows(), 0);
+    for (size_t i = 0; i < n; ++i) y_ids[rows[i]] = encoded[i];
+  }
 
-  // Same pre-assignment discipline as FitView: seeds and bootstrap draws
-  // come off the master RNG in tree order (draws in compact indexing,
-  // mapped to table ids), so the forest is bit-identical for every thread
-  // count and identical to an in-RAM fit presenting the same row subset.
+  // Pre-assign every tree's seed and bootstrap rows from the master RNG in
+  // tree order (draws in compact indexing, mapped to ids), so the fitted
+  // forest does not depend on how many executor workers later share (or
+  // steal chunks of) the tree loop, nor on the pool size when this fit
+  // runs nested inside a grid/stacking cell — and every entry point
+  // presenting the same rows fits the same forest.
   Rng rng(params_.seed);
   std::vector<uint64_t> tree_seeds(params_.num_trees);
   std::vector<std::vector<size_t>> tree_rows(params_.num_trees);
@@ -59,69 +94,9 @@ void RandomForestClassifier::FitBinned(const FeatureTable& ft,
     tree_seeds[t] = rng.engine()();
     std::vector<size_t>& trows = tree_rows[t];
     trows.resize(n);
-    if (params_.bootstrap) {
-      for (size_t i = 0; i < n; ++i) trows[i] = rows[rng.Index(n)];
-    } else {
-      trows = rows;
+    for (size_t i = 0; i < n; ++i) {
+      trows[i] = id(params_.bootstrap ? rng.Index(n) : i);
     }
-  }
-
-  const size_t tree_threads =
-      params_.reducer != nullptr ? 1 : params_.num_threads;
-  trees_.assign(params_.num_trees, DecisionTreeClassifier());
-  ParallelFor(params_.num_trees, tree_threads, [&](size_t t) {
-    DecisionTreeClassifier::Params tp;
-    tp.max_depth = params_.max_depth;
-    tp.min_samples_leaf = params_.min_samples_leaf;
-    tp.max_features = mtry;
-    tp.seed = tree_seeds[t];
-    tp.split = params_.split;
-    tp.max_bins = params_.max_bins;
-    tp.reducer = params_.reducer;
-    trees_[t] = DecisionTreeClassifier(tp);
-    trees_[t].FitBinned(ft, y_table, encoder_.num_classes(), tree_rows[t]);
-  });
-}
-
-void RandomForestClassifier::FitView(const Matrix& x,
-                                     const std::vector<size_t>& src,
-                                     const std::vector<size_t>& y_compact,
-                                     size_t num_classes) {
-  const size_t n = src.size();
-  const size_t d = x[src[0]].size();
-  const size_t mtry =
-      params_.max_features > 0
-          ? params_.max_features
-          : std::max<size_t>(1, static_cast<size_t>(std::sqrt(
-                                    static_cast<double>(d))));
-
-  // Pre-assign every tree's seed and bootstrap rows from the master RNG in
-  // tree order, so the fitted forest does not depend on how many executor
-  // workers later share (or steal chunks of) the tree loop, nor on the
-  // pool size when this fit runs nested inside a grid/stacking cell.
-  Rng rng(params_.seed);
-  std::vector<uint64_t> tree_seeds(params_.num_trees);
-  std::vector<std::vector<size_t>> tree_rows(params_.num_trees);
-  for (size_t t = 0; t < params_.num_trees; ++t) {
-    tree_seeds[t] = rng.engine()();
-    std::vector<size_t>& rows = tree_rows[t];
-    rows.resize(n);
-    if (params_.bootstrap) {
-      for (size_t i = 0; i < n; ++i) rows[i] = rng.Index(n);
-    } else {
-      std::iota(rows.begin(), rows.end(), size_t{0});
-    }
-  }
-
-  // Bin once, share across all trees (read-only).
-  FeatureTable ft;
-  if (params_.split == SplitMode::kHistogram) {
-    ft.Build(x, src, params_.max_bins);
-  }
-
-  if (params_.reducer != nullptr && params_.split != SplitMode::kHistogram) {
-    throw std::invalid_argument(
-        "RandomForest: distributed training requires histogram split mode");
   }
 
   // Distributed fits run the tree loop sequentially: every tree issues
@@ -139,10 +114,10 @@ void RandomForestClassifier::FitView(const Matrix& x,
     tp.max_bins = params_.max_bins;
     tp.reducer = params_.reducer;
     trees_[t] = DecisionTreeClassifier(tp);
-    if (params_.split == SplitMode::kHistogram) {
-      trees_[t].FitBinned(ft, y_compact, num_classes, tree_rows[t]);
+    if (hist) {
+      trees_[t].FitBinned(*ft, y_ids, num_classes, tree_rows[t]);
     } else {
-      trees_[t].FitExactOnView(x, src, y_compact, num_classes, tree_rows[t]);
+      trees_[t].FitExactOnView(*x, rows, y_ids, num_classes, tree_rows[t]);
     }
   });
 }

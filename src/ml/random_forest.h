@@ -67,10 +67,19 @@ class RandomForestClassifier : public Classifier {
   size_t num_trees_fitted() const { return trees_.size(); }
 
  private:
-  /// Shared implementation: trains on the compact row view `src`
-  /// (compact index i reads x[src[i]]), labels in compact indexing.
-  void FitView(const Matrix& x, const std::vector<size_t>& src,
-               const std::vector<size_t>& y_compact, size_t num_classes);
+  /// Matrix entry (Fit/FitOnRows): compact row i reads x[src[i]].
+  /// Histogram mode builds a FeatureTable on those rows and runs FitTrees
+  /// on it, so a matrix fit and FitBinned on the same table train the
+  /// same forest.
+  void FitMatrix(const Matrix& x, const std::vector<size_t>& src,
+                 const std::vector<size_t>& encoded);
+
+  /// The seed/bootstrap/tree loop every entry point runs. Histogram mode:
+  /// `ft` is set, `rows` are table row ids. Exact mode: `ft` is null and
+  /// compact row i reads (*x)[rows[i]]. `encoded` is compact.
+  void FitTrees(const FeatureTable* ft, const Matrix* x,
+                const std::vector<size_t>& rows,
+                const std::vector<size_t>& encoded);
 
   Params params_;
   std::vector<DecisionTreeClassifier> trees_;

@@ -8,6 +8,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -406,6 +407,17 @@ MvgClassifier MvgClassifier::FromSectionReaders(BinaryReader* pipeline,
   clf.train_length_ = pipeline->ReadSize();
   clf.fe_seconds_ = pipeline->ReadDouble();
   clf.train_seconds_ = pipeline->ReadDouble();
+  // Predict sizes every feature vector by feature_width, so it must not be
+  // taken on trust. Every fit pads to exactly the layout width of its
+  // longest series (NumScalesForLength is monotone in length).
+  const size_t want_width =
+      clf.extractor_.LayoutForLength(clf.train_length_).feature_width;
+  if (clf.feature_width_ != want_width) {
+    throw SerializationError(
+        "model file: feature_width " + std::to_string(clf.feature_width_) +
+        " does not match the layout width " + std::to_string(want_width) +
+        " of train_length " + std::to_string(clf.train_length_));
+  }
 
   clf.scaler_.LoadBinary(scaler);
   clf.model_ = LoadClassifierBinary(model);

@@ -1,7 +1,6 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
-#include "ml/knn.h"
 #include "ml/linear_model.h"
 #include "ml/metrics.h"
 #include "ml/preprocessing.h"
@@ -88,26 +87,6 @@ TEST(LogisticRegressionTest, Multiclass) {
   LogisticRegressionClassifier lr;
   lr.Fit(x, y);
   EXPECT_LE(ErrorRate(y, lr.PredictAll(x)), 0.05);
-}
-
-TEST(KnnTest, OneNearestNeighborMemorizes) {
-  Matrix x;
-  std::vector<int> y;
-  MakeBlobs(20, 3, 2.0, 6, &x, &y);
-  KnnClassifier knn;
-  knn.Fit(x, y);
-  EXPECT_EQ(ErrorRate(y, knn.PredictAll(x)), 0.0);
-}
-
-TEST(KnnTest, KGreaterThanOneSmooths) {
-  Matrix x = {{0.0}, {0.1}, {0.2}, {10.0}};
-  std::vector<int> y = {0, 0, 0, 1};
-  KnnClassifier::Params p;
-  p.k = 3;
-  KnnClassifier knn(p);
-  knn.Fit(x, y);
-  // The lone outlier is outvoted by its 3 neighbors.
-  EXPECT_EQ(knn.Predict({9.0}), 0);
 }
 
 TEST(MinMaxScalerTest, ScalesIntoUnitRangeAndClamps) {

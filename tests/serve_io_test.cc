@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -650,21 +651,65 @@ TEST_F(ZeroCopyTest, ViewLoadDefersPayloadCrcUntilAskedToVerify) {
   std::memcpy(buf.data(), blob.data(), blob.size());
   EXPECT_NO_THROW(LoadModelView(buf.data(), blob.size(), ModelVerify::kFull));
 
-  // Pipeline section = first payload; its last 16 bytes are the two
-  // recorded wall times.
+  // Pipeline section = first payload (its size sits 16 bytes into the
+  // first table entry); its last 16 bytes are the two recorded wall
+  // times.
   const size_t first_payload =
       ((kModelHeaderBytes + 3 * kModelTableEntryBytes + kModelPayloadAlign -
         1) /
        kModelPayloadAlign) *
       kModelPayloadAlign;
   size_t pipeline_size = 0;
-  std::memcpy(&pipeline_size, blob.data() + kModelHeaderBytes + 8, 8);
+  std::memcpy(&pipeline_size, blob.data() + kModelHeaderBytes + 16, 8);
   reinterpret_cast<uint8_t*>(buf.data())[first_payload + pipeline_size - 1] ^=
       0x01;
 
   EXPECT_NO_THROW(LoadModelView(buf.data(), blob.size()));  // kStructure
   EXPECT_THROW(LoadModelView(buf.data(), blob.size(), ModelVerify::kFull),
                SerializationError);
+}
+
+// Predict resizes every feature vector to the stored feature_width, and
+// the structure-only view load decodes it without a payload CRC. A
+// patched width — one flipped high byte asks for 2^55 doubles, one
+// flipped low bit is off by one — must be rejected at load, not at the
+// first Predict.
+TEST_F(ZeroCopyTest, ViewLoadRejectsPatchedFeatureWidth) {
+  MvgClassifier::Config config;
+  config.model = MvgModel::kXgboost;
+  config.grid = GridPreset::kNone;
+  MvgClassifier clf(config);
+  clf.Fit(MakeNoiseDataset("zerocopy_width", {0, 1}, 6, 48, 5));
+  std::ostringstream os(std::ios::binary);
+  SaveModel(clf, os);
+  const std::string blob = os.str();
+
+  // Pipeline section = first payload (its size sits 16 bytes into the
+  // first table entry); it ends with feature_width, train_length and the
+  // two recorded wall times, 8 bytes each.
+  const size_t first_payload =
+      ((kModelHeaderBytes + 3 * kModelTableEntryBytes + kModelPayloadAlign -
+        1) /
+       kModelPayloadAlign) *
+      kModelPayloadAlign;
+  size_t pipeline_size = 0;
+  std::memcpy(&pipeline_size, blob.data() + kModelHeaderBytes + 16, 8);
+  const size_t width_at = first_payload + pipeline_size - 32;
+  uint64_t width = 0;
+  std::memcpy(&width, blob.data() + width_at, 8);
+  ASSERT_EQ(width, clf.feature_width());
+
+  std::vector<uint64_t> buf((blob.size() + 7) / 8);
+  std::memcpy(buf.data(), blob.data(), blob.size());
+  EXPECT_NO_THROW(MvgClassifier::LoadBinaryView(buf.data(), blob.size()));
+  for (const auto& [byte, mask] :
+       {std::pair<size_t, uint8_t>{6, 0x80}, {0, 0x01}}) {
+    std::memcpy(buf.data(), blob.data(), blob.size());
+    reinterpret_cast<uint8_t*>(buf.data())[width_at + byte] ^= mask;
+    EXPECT_THROW(MvgClassifier::LoadBinaryView(buf.data(), blob.size()),
+                 SerializationError)
+        << "byte " << byte;
+  }
 }
 
 TEST_F(ZeroCopyTest, MappedFileSessionMatchesStreamSession) {

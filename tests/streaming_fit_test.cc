@@ -1,8 +1,9 @@
 // End-to-end contracts of the streaming sketch-binned training path:
 // FitPaged models are bit-identical to the in-RAM Fit for every page
 // size, thread budget and (reducer) worker count; the sketch-binned
-// default stays within 1% accuracy of the exact-bins escape hatch; and a
-// dataset fitting in one page never spawns a read-ahead thread.
+// default stays within 1% accuracy of exact pre-sorted splits
+// (Config::exact_splits, which bins nothing); and a dataset fitting in
+// one page never spawns a read-ahead thread.
 
 #include <cmath>
 #include <sstream>
@@ -162,10 +163,11 @@ TEST(StreamingFitTest, PagedBitIdenticalForAnyWorkerCount) {
 }
 
 TEST(StreamingFitTest, SketchAccuracyWithinOnePercentOfExactBins) {
-  // Imbalanced two-class corpus (so the sketch path's cuts-before-
-  // oversample vs the exact path's cuts-after-oversample actually
-  // differ) of 100 separable series. The class signal must survive the
-  // extraction front-end's detrend, so it is structural, not a trend:
+  // Imbalanced two-class corpus of 100 separable series. The reference
+  // is exact pre-sorted split enumeration (every distinct value is a
+  // candidate threshold), so the sketch's binning is the only difference
+  // the bound measures. The class signal must survive the extraction
+  // front-end's detrend, so it is structural, not a trend:
   // class 0 is a smooth sine with faint noise, class 1 is white noise —
   // their visibility graphs differ sharply in degree structure.
   Dataset train("sketch_acc_train"), test("sketch_acc_test");
@@ -204,7 +206,7 @@ TEST(StreamingFitTest, SketchAccuracyWithinOnePercentOfExactBins) {
   sketch.Fit(train);
 
   MvgClassifier::Config exact_config = config;
-  exact_config.exact_bins = true;
+  exact_config.exact_splits = true;
   MvgClassifier exact(exact_config);
   exact.Fit(train);
 

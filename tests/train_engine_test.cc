@@ -1,6 +1,7 @@
 // Tests for the histogram training engine: FeatureTable binning contract,
 // histogram-vs-exact split parity (including the 100-series x 4-family
-// sweep the acceptance bar pins), thread-count invariance of RF/GBT/
+// sweep the acceptance bar pins), byte identity of matrix fits and binned
+// fits on the same rows, thread-count invariance of RF/GBT/
 // GridSearch/stacking and of the end-to-end MvgClassifier::Fit, fold
 // sharing in GridSearch, FitOnRows-vs-gathered-Fit equivalence, and the
 // .mvg round trip of a histogram-trained model.
@@ -8,6 +9,7 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include "serve/model_io.h"
 #include "tests/test_util.h"
 #include "ts/generators.h"
+#include "util/binary_io.h"
 #include "util/random.h"
 
 namespace mvg {
@@ -151,6 +154,61 @@ TEST(TrainParity, GbtTrainingErrorMatchesExact) {
   exact.Fit(x, y);
   EXPECT_NEAR(ErrorRate(y, hist.PredictAll(x)),
               ErrorRate(y, exact.PredictAll(x)), 0.02);
+}
+
+// Matrix fits enter the binned engine: FitOnRows on a row subset saves the
+// same bytes as FitBinned on FeatureTable::Build of exactly those rows —
+// for 2-4 classes, a column with few distinct values, and with row/column
+// sampling (GBT) or bootstrap (RF) both on and off.
+TEST(TrainParity, MatrixFitSavesSameBytesAsBinnedFitOnBuiltTable) {
+  const auto saved = [](const Classifier& clf) {
+    BinaryWriter w;
+    SaveClassifierBinary(clf, &w);
+    return w.data();
+  };
+  for (size_t num_classes : {size_t{2}, size_t{3}, size_t{4}}) {
+    Matrix x;
+    std::vector<int> y;
+    MakeBlobs(30, num_classes, 1.0, 20 + num_classes, &x, &y);
+    for (size_t i = 0; i < x.size(); ++i) {
+      x[i].push_back(static_cast<double>(i % 3));  // few distinct values
+    }
+    std::vector<size_t> rows;
+    for (size_t i = 0; i < x.size(); ++i) {
+      if (i % 4 != 1) rows.push_back(i);
+    }
+    FeatureTable ft;
+    ft.Build(x, rows, FeatureTable::kMaxBins);
+    std::vector<int> y_table;
+    for (size_t r : rows) y_table.push_back(y[r]);
+    std::vector<size_t> all(rows.size());
+    for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+
+    for (bool sampling : {false, true}) {
+      SCOPED_TRACE("classes=" + std::to_string(num_classes) +
+                   " sampling=" + std::to_string(sampling));
+      GradientBoostingClassifier::Params gp;
+      gp.num_rounds = 12;
+      gp.max_depth = 3;
+      gp.min_child_weight = 0.5;
+      gp.subsample = gp.colsample = sampling ? 0.5 : 1.0;
+      gp.num_threads = 2;
+      GradientBoostingClassifier gbt_matrix(gp), gbt_table(gp);
+      gbt_matrix.FitOnRows(x, y, rows);
+      gbt_table.FitBinned(ft, y_table, all);
+      EXPECT_EQ(saved(gbt_matrix), saved(gbt_table));
+
+      RandomForestClassifier::Params rp;
+      rp.num_trees = 8;
+      rp.max_depth = 6;
+      rp.bootstrap = sampling;
+      rp.num_threads = 2;
+      RandomForestClassifier rf_matrix(rp), rf_table(rp);
+      rf_matrix.FitOnRows(x, y, rows);
+      rf_table.FitBinned(ft, y_table, all);
+      EXPECT_EQ(saved(rf_matrix), saved(rf_table));
+    }
+  }
 }
 
 // The acceptance sweep: 100 series (25 per input family), the family as
