@@ -27,9 +27,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <future>
 #include <map>
-#include <mutex>
 #include <new>
 #include <sstream>
 #include <string>
@@ -52,7 +50,6 @@
 #include "motif/motif_counts.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "serve/async_serving.h"
 #include "serve/model_io.h"
 #include "serve/model_mmap.h"
 #include "serve/serving.h"
@@ -807,22 +804,13 @@ int main(int argc, char** argv) {
         static_cast<double>(predict_iters);
   }
 
-  // --- serving_async: executor dispatch + micro-batching front end ---
-  // pool_dispatch_speedup_small_n gates the tentpole's dispatch win: the
+  // --- executor_dispatch: persistent pool vs spawn-per-call ---
+  // pool_dispatch_speedup_small_n gates the pool's dispatch win: the
   // same small-n cheap-body loop through the persistent pool vs the
-  // PR-1..4 spawn-per-call ParallelFor (bench/legacy_parallel.h). The
+  // retired spawn-per-call ParallelFor (bench/legacy_parallel.h). The
   // loop is exactly the shape that used to pay worst-case overhead —
   // n barely above 1, body far cheaper than a thread spawn.
-  // serve_async_throughput_x gates the micro-batching front end: 8
-  // concurrent producers of single-series requests against (a) the
-  // synchronous single-client ServingSession serialized by a mutex — the
-  // only correct synchronous sharing — and (b) AsyncServingSession, whose
-  // dispatcher coalesces the queue into batches fanned across the pool.
-  // Calibrated for the multi-core CI perf lane; a single-core host runs
-  // the async path at roughly parity (there is no parallelism for
-  // batching to unlock), which is why the tier-1 smoke runs --quick
-  // without --check.
-  std::printf("serving_async:\n");
+  std::printf("executor_dispatch:\n");
   {
     const size_t small_n = 8;
     const size_t fan = 4;
@@ -846,110 +834,6 @@ int main(int argc, char** argv) {
       metrics["pool_dispatch_speedup_small_n"] =
           spawned.ns_per_iter / pooled.ns_per_iter;
     }
-
-    // Async micro-batching throughput under 8 concurrent producers.
-    const size_t series_len = 128;
-    const size_t train_n = opt.quick ? 16 : 24;
-    Dataset train("async_train");
-    for (size_t i = 0; i < train_n; ++i) {
-      train.Add(GaussianNoise(series_len, 5200 + i), static_cast<int>(i % 2));
-    }
-    MvgClassifier::Config config;
-    config.grid = GridPreset::kNone;
-    MvgClassifier sync_clf(config);
-    sync_clf.Fit(train);
-    const char* model_path = "BENCH_async_model.mvg";
-    SaveModel(sync_clf, model_path);
-
-    const size_t producers = 8;
-    const size_t per_producer = opt.quick ? 4 : 12;
-    std::vector<std::vector<Series>> inputs(producers);
-    for (size_t p = 0; p < producers; ++p) {
-      for (size_t i = 0; i < per_producer; ++i) {
-        inputs[p].push_back(GaussianNoise(series_len, 6000 + p * 100 + i));
-      }
-    }
-
-    // (a) synchronous: one session, one mutex, one series at a time —
-    // the documented way for concurrent clients to share ServingSession.
-    ServingSession sync_session = ServingSession::FromFile(model_path);
-    sync_session.Predict(inputs[0][0]);  // warm the workspace pool
-    std::mutex session_mu;
-    WallTimer sync_timer;
-    {
-      std::vector<std::thread> threads;
-      for (size_t p = 0; p < producers; ++p) {
-        threads.emplace_back([&, p]() {
-          for (const Series& s : inputs[p]) {
-            std::lock_guard<std::mutex> lock(session_mu);
-            sync_session.PredictBatch(&s, 1, 1);
-          }
-        });
-      }
-      for (auto& t : threads) t.join();
-    }
-    const double t_sync = sync_timer.Seconds();
-
-    // (b) async micro-batching on the shared executor pool.
-    AsyncServingSession::Options async_opt;
-    async_opt.batch_max = 32;
-    async_opt.batch_timeout_ms = 2.0;
-    AsyncServingSession async_session =
-        AsyncServingSession::FromFile(model_path, async_opt);
-    std::remove(model_path);
-    // Warm up (first dispatch grows the per-worker workspaces).
-    async_session.Submit(inputs[0][0]).get();
-    WallTimer async_timer;
-    {
-      std::vector<std::thread> threads;
-      for (size_t p = 0; p < producers; ++p) {
-        threads.emplace_back([&, p]() {
-          std::vector<std::future<int>> futures;
-          futures.reserve(inputs[p].size());
-          for (const Series& s : inputs[p]) {
-            futures.push_back(async_session.Submit(s));
-          }
-          for (auto& f : futures) f.get();
-        });
-      }
-      for (auto& t : threads) t.join();
-    }
-    const double t_async = async_timer.Seconds();
-
-    const double total_requests =
-        static_cast<double>(producers * per_producer);
-    BenchResult sync_row{"serve_sync_8producers", producers, 1,
-                         t_sync * 1e9 / total_requests};
-    BenchResult async_row{"serve_async_8producers", producers, 1,
-                          t_async * 1e9 / total_requests};
-    std::printf("  %-34s n=%-6zu %12.0f ns/iter  (%zu iters)\n",
-                sync_row.name.c_str(), sync_row.n, sync_row.ns_per_iter,
-                sync_row.iters);
-    std::printf("  %-34s n=%-6zu %12.0f ns/iter  (%zu iters)\n",
-                async_row.name.c_str(), async_row.n, async_row.ns_per_iter,
-                async_row.iters);
-    results.push_back(sync_row);
-    results.push_back(async_row);
-    if (t_async > 0.0) {
-      metrics["serve_async_throughput_x"] = t_sync / t_async;
-    }
-
-    // Tail latency of the async path (enqueue -> completion), from the
-    // session's own sliding latency window — informational rows.
-    const AsyncServingSession::Stats stats = async_session.stats();
-    BenchResult p50_row{"serve_async_latency_p50", producers, 1,
-                        stats.p50_latency_ms * 1e6};
-    BenchResult p99_row{"serve_async_latency_p99", producers, 1,
-                        stats.p99_latency_ms * 1e6};
-    std::printf("  %-34s n=%-6zu %12.0f ns/iter  (%zu iters)\n",
-                p50_row.name.c_str(), p50_row.n, p50_row.ns_per_iter,
-                p50_row.iters);
-    std::printf("  %-34s n=%-6zu %12.0f ns/iter  (%zu iters)\n",
-                p99_row.name.c_str(), p99_row.n, p99_row.ns_per_iter,
-                p99_row.iters);
-    results.push_back(p50_row);
-    results.push_back(p99_row);
-    metrics["serve_async_mean_batch_size"] = stats.mean_batch_size;
   }
 
   // --- Training engine: histogram + parallel Fit vs the serial exact seed ---

@@ -23,21 +23,18 @@
 //       print model metadata (family, extractor config, feature width)
 //   mvg_serve serve --model model.mvg --input <ucr-file>
 //            [--mmap] [--threads N] [--out-preds FILE]
-//            [--async [--batch-max B] [--batch-timeout-ms T]]
 //       batch-classify every series in a UCR file via ServingSession;
 //       prints one label per line (or writes them to --out-preds).
 //       --mmap memory-maps the (v3) model file and serves zero-copy
 //       views into the mapping instead of deserializing it — identical
 //       predictions, O(1) tree construction, and concurrent processes
-//       serving the same file share one physical copy. --async routes
-//       every series through the micro-batching AsyncServingSession
-//       front end instead (identical predictions; queue-depth and
-//       latency percentile stats go to stderr)
+//       serving the same file share one physical copy
 //   mvg_serve serve --model model.mvg --stream
 //            [--window N] [--hop N]
 //       online monitoring: read one sample per line from stdin into a
 //       StreamingClassifier sliding window; on every completed window
-//       print "<sample-index> <label>"
+//       print "<sample-index> <label>". --window is in [0, 1048576]
+//       (0 = the model's train length), --hop in [1, 1048576]
 //   mvg_serve route --model model.mvg --input <ucr-file> --shards N
 //            [--mmap] [--max-inflight W] [--drain K] [--out-preds FILE]
 //       sharded serving: fork N shard worker processes, each serving the
@@ -68,7 +65,6 @@
 #include "ml/metrics.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "serve/async_serving.h"
 #include "serve/model_io.h"
 #include "serve/serving.h"
 #include "ts/paged_ucr_reader.h"
@@ -92,7 +88,7 @@ int Usage(const char* argv0) {
       " [--metrics-out FILE]\n"
       "  %s info <MODEL>\n"
       "  %s serve --model MODEL --input <ucr-file> [--mmap] [--threads N]"
-      " [--out-preds FILE] [--async [--batch-max B] [--batch-timeout-ms T]]"
+      " [--out-preds FILE]"
       " [--metrics-out FILE [--metrics-interval-s S]]\n"
       "  %s serve --model MODEL --stream [--mmap] [--window N] [--hop N]\n"
       "  %s route --model MODEL --input <ucr-file> --shards N [--mmap]"
@@ -130,7 +126,8 @@ size_t CountFlag(int argc, char** argv, int from, const char* flag,
   const std::string raw = FlagValue(argc, argv, from, flag, fallback);
   char* end = nullptr;
   const long parsed = std::strtol(raw.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || parsed < lo || parsed > hi) {
+  if (raw.empty() || end == nullptr || *end != '\0' || parsed < lo ||
+      parsed > hi) {
     std::fprintf(stderr, "%s expects an integer in [%ld, %ld]\n",
                  flag, lo, hi);
     std::exit(2);
@@ -314,8 +311,8 @@ int CmdInfo(const std::string& path) {
   return 0;
 }
 
-/// Writes labels to --out-preds or stdout; shared by the sync and async
-/// batch paths.
+/// Writes labels to --out-preds or stdout; shared by the serve and route
+/// paths.
 int EmitPreds(const std::vector<int>& pred, const std::string& out_preds) {
   if (!out_preds.empty()) {
     std::ofstream os(out_preds);
@@ -327,49 +324,6 @@ int EmitPreds(const std::vector<int>& pred, const std::string& out_preds) {
   } else {
     for (int label : pred) std::printf("%d\n", label);
   }
-  return 0;
-}
-
-int CmdServeAsync(const std::string& model_path, bool mmap,
-                  const std::string& input, size_t threads,
-                  const std::string& out_preds, size_t batch_max,
-                  double batch_timeout_ms) {
-  const Dataset ds = ReadUcrFile(input);
-  AsyncServingSession::Options opt;
-  opt.batch_max = batch_max;
-  opt.batch_timeout_ms = batch_timeout_ms;
-  opt.num_threads = threads;
-  // Fold the session's stats instruments into the process-wide registry
-  // so a --metrics-out dump covers them alongside the pipeline spans.
-  opt.registry = &obs::MetricsRegistry::Global();
-  AsyncServingSession session =
-      mmap ? AsyncServingSession::FromFileMapped(model_path, opt)
-           : AsyncServingSession::FromFile(model_path, opt);
-
-  WallTimer timer;
-  std::vector<std::future<int>> futures;
-  futures.reserve(ds.size());
-  for (size_t i = 0; i < ds.size(); ++i) {
-    futures.push_back(session.Submit(ds.series(i)));
-  }
-  std::vector<int> pred;
-  pred.reserve(ds.size());
-  for (std::future<int>& f : futures) pred.push_back(f.get());
-  const double seconds = timer.Seconds();
-
-  const int rc = EmitPreds(pred, out_preds);
-  if (rc != 0) return rc;
-  const AsyncServingSession::Stats stats = session.stats();
-  std::fprintf(stderr,
-               "served %zu series async in %.3fs (%.0f series/s), error vs "
-               "file labels %.4f\n"
-               "async stats: %zu batches (mean size %.1f), max queue depth "
-               "%zu, latency p50 %.2fms p99 %.2fms\n",
-               ds.size(), seconds,
-               seconds > 0 ? static_cast<double>(ds.size()) / seconds : 0.0,
-               ErrorRate(ds.labels(), pred), stats.batches,
-               stats.mean_batch_size, stats.max_queue_depth,
-               stats.p50_latency_ms, stats.p99_latency_ms);
   return 0;
 }
 
@@ -446,11 +400,11 @@ int CmdServe(int argc, char** argv) {
                 : ServingSession::FromFile(model_path);
   };
   if (HasFlag(argc, argv, 2, "--stream")) {
+    // Bounded so a typo cannot size a huge ring buffer; 0 = train length.
+    const size_t window =
+        CountFlag(argc, argv, 2, "--window", "0", 0, 1L << 20);
+    const size_t hop = CountFlag(argc, argv, 2, "--hop", "1", 1, 1L << 20);
     ServingSession session = open_session();
-    const size_t window = static_cast<size_t>(
-        std::stoul(FlagValue(argc, argv, 2, "--window", "0")));
-    const size_t hop = static_cast<size_t>(
-        std::stoul(FlagValue(argc, argv, 2, "--hop", "1")));
     return CmdServeStream(session, window, hop);
   }
   const std::string input = FlagValue(argc, argv, 2, "--input", "");
@@ -459,25 +413,6 @@ int CmdServe(int argc, char** argv) {
     return 2;
   }
   const std::string out_preds = FlagValue(argc, argv, 2, "--out-preds", "");
-  if (HasFlag(argc, argv, 2, "--async")) {
-    const std::string raw_max = FlagValue(argc, argv, 2, "--batch-max", "32");
-    char* end = nullptr;
-    const long batch_max = std::strtol(raw_max.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || batch_max < 1 || batch_max > 4096) {
-      std::fprintf(stderr,
-                   "--batch-max expects an integer in [1, 4096]\n");
-      return 2;
-    }
-    const std::string raw_timeout =
-        FlagValue(argc, argv, 2, "--batch-timeout-ms", "2");
-    const double batch_timeout_ms = std::strtod(raw_timeout.c_str(), &end);
-    if (end == nullptr || *end != '\0' || !(batch_timeout_ms >= 0.0)) {
-      std::fprintf(stderr, "--batch-timeout-ms expects a number >= 0\n");
-      return 2;
-    }
-    return CmdServeAsync(model_path, mmap, input, threads, out_preds,
-                         static_cast<size_t>(batch_max), batch_timeout_ms);
-  }
   ServingSession session = open_session();
   return CmdServeBatch(session, input, threads, out_preds);
 }

@@ -70,7 +70,8 @@ PipelineMetrics& PipelineMetrics::Get() {
         "mvg_executor_job_queue_depth",
         "Jobs waiting in the executor submit queue");
     m->serve_predictions = r.RegisterCounter(
-        "mvg_serve_predictions_total", "Series classified by ServingSession");
+        "mvg_serve_predictions_total",
+        "Series classified by ServingSession and StreamingClassifier");
     m->wire_frames_sent = r.RegisterCounter(
         "mvg_wire_frames_sent_total", "Wire-protocol frames written");
     m->wire_frames_recv = r.RegisterCounter(

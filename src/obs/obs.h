@@ -6,8 +6,8 @@
 // Gating policy: *pipeline* instrumentation (spans, executor/wire/
 // training counters) is guarded by Enabled() so `obs::SetEnabled(false)`
 // — or building with -DMVG_OBS_OFF=ON — strips its cost. *Session*
-// metrics (AsyncServingSession, ShardRouter latency) are always on:
-// they ARE the stats API those classes expose, not optional extras.
+// metrics (ShardRouter latency) are always on: they ARE the stats API
+// that class exposes, not an optional extra.
 #ifndef MVG_OBS_OBS_H_
 #define MVG_OBS_OBS_H_
 

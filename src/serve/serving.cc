@@ -30,6 +30,7 @@ ServingSession ServingSession::FromFileMapped(const std::string& path) {
 }
 
 int ServingSession::Predict(const Series& s) {
+  obs::Count(obs::PipelineMetrics::Get().serve_predictions);
   if (workspaces_.empty()) workspaces_.resize(1);
   return model_.Predict(s, &workspaces_[0]);
 }
@@ -126,6 +127,7 @@ int StreamingClassifier::Classify(size_t channel) {
   for (size_t i = 0; i < w; ++i) {
     ch.scratch[i] = ch.ring[(ch.head + i) % w];
   }
+  obs::Count(obs::PipelineMetrics::Get().serve_predictions);
   return model_->Predict(ch.scratch, &ws_);
 }
 

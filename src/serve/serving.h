@@ -19,12 +19,13 @@ namespace mvg {
 /// A session owns the classifier plus one pooled VgWorkspace per worker
 /// slot, so batch after batch the feature-extraction graph builds hit
 /// zero steady-state heap allocation (the PR-2 pooled-CSR contract). A
-/// session is single-client state: concurrent PredictBatch calls on one
-/// session must be externally serialized (parallelism belongs *inside* a
-/// batch, where the persistent executor pool's ParallelForWorker gives
-/// each slot its own workspace). For many concurrent producers, wrap the
-/// session in AsyncServingSession (serve/async_serving.h), which
-/// micro-batches a bounded queue instead of serializing clients.
+/// session is single-client state: concurrent Predict/PredictBatch calls
+/// on one session must be externally serialized (parallelism belongs
+/// *inside* a batch, where the persistent executor pool's
+/// ParallelForWorker gives each slot its own workspace). Concurrent
+/// clients each open their own session with FromFileMapped (N sessions
+/// over one file share one physical copy of the model), or go through
+/// ShardRouter (dist/shard_router.h) across processes.
 class ServingSession {
  public:
   /// Takes ownership of a fitted classifier.

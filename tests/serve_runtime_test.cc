@@ -1,18 +1,23 @@
 // Serving runtime (serve/serving.h): ServingSession batch prediction must
-// match MvgClassifier::Predict exactly (pooled workspaces and threading
-// may not change results), and StreamingClassifier must classify sliding
-// windows identically to offline prediction of the same window — including
+// match MvgClassifier::Predict exactly (pooled workspaces, threading and
+// concurrent per-thread sessions over one mapped file may not change
+// results), and StreamingClassifier must classify sliding windows
+// identically to offline prediction of the same window — including
 // degenerate windows, which reuse the extractor's sanitization path.
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/mvg_classifier.h"
+#include "obs/obs.h"
 #include "serve/model_io.h"
 #include "serve/serving.h"
 #include "tests/test_util.h"
@@ -96,6 +101,58 @@ TEST_F(ServingTest, SinglePredictMatches) {
 
 TEST_F(ServingTest, RejectsUnfittedModel) {
   EXPECT_THROW(ServingSession session{MvgClassifier()}, std::invalid_argument);
+}
+
+/// The concurrent-client pattern: each client thread opens its own mapped
+/// session over one model file, so no session is ever shared.
+TEST_F(ServingTest, ConcurrentMappedSessionsMatchPredictBatch) {
+  const std::string path =
+      ::testing::TempDir() + "serve_runtime_test_concurrent.mvg";
+  SaveModel(Model(), path);
+  const std::vector<Series> batch = ProbeBatch(24, 64);
+  const std::vector<int> expected =
+      ServingSession(LoadedCopy()).PredictBatch(batch, 1);
+
+  const size_t clients = 4;
+  std::vector<std::vector<int>> labels(clients);
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < clients; ++c) {
+    threads.emplace_back([&, c] {
+      ServingSession session = ServingSession::FromFileMapped(path);
+      for (const Series& s : batch) labels[c].push_back(session.Predict(s));
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  std::remove(path.c_str());
+  for (size_t c = 0; c < clients; ++c) {
+    EXPECT_EQ(labels[c], expected) << "client " << c;
+  }
+}
+
+/// mvg_serve_predictions_total counts every classified series, whichever
+/// serving path classified it.
+TEST_F(ServingTest, PredictionsCounterCoversEveryServingPath) {
+  if (!obs::Enabled()) GTEST_SKIP() << "observability compiled out";
+  const obs::Counter* counter = obs::PipelineMetrics::Get().serve_predictions;
+  const uint64_t before = counter->Value();
+
+  ServingSession session(LoadedCopy());
+  const std::vector<Series> batch = ProbeBatch(5, 64);
+  session.Predict(batch[0]);
+  session.PredictBatch(batch, 2);
+
+  StreamingClassifier::Options opt;
+  opt.window = 32;
+  opt.hop = 8;
+  StreamingClassifier stream(&Model(), opt);
+  const Series s = MakeFamilySeries(testutil::SeriesFamily::kRandomWalk,
+                                    64, 3);
+  size_t streamed = 0;
+  for (double v : s) streamed += stream.Push(v).has_value() ? 1 : 0;
+  stream.Classify(0);
+  ++streamed;
+
+  EXPECT_EQ(counter->Value() - before, 1 + batch.size() + streamed);
 }
 
 // ---------------------------------------------------------------------------
