@@ -36,6 +36,7 @@
 
 #include "bench/legacy_fe.h"
 #include "bench/legacy_kernels.h"
+#include "bench/legacy_motif.h"
 #include "bench/legacy_parallel.h"
 #include "bench/legacy_vg.h"
 #include "core/feature_extractor.h"
@@ -667,12 +668,40 @@ int main(int argc, char** argv) {
   }
 
   // --- Motif counting on prebuilt visibility graphs ---
+  // The pooled counter, as Extract runs it. Noise VGs are the sparse best
+  // case; random walks and noisy sines give the dense, hub-heavy VGs of
+  // real smooth series. motif_count_speedup gates the degeneracy-ordered
+  // pass against the frozen vertex-ordered counter (bench/legacy_motif.h)
+  // on the random-walk VG, where the old loops' sum-of-squared-degrees
+  // cost shows.
   std::printf("Motif counting:\n");
-  for (size_t n : {size_t{256}, size_t{1024}}) {
-    const Series s = GaussianNoise(n, 13);
-    const Graph g = BuildVisibilityGraph(s);
-    results.push_back(
-        TimeIt("motif_counts_vg", n, opt, [&] { CountMotifs(g); }));
+  {
+    VgWorkspace mws;
+    const auto time_count = [&](const std::string& name, const Series& s) {
+      const Graph g = BuildVisibilityGraph(s);
+      return TimeIt(name, s.size(), opt, [&] {
+        CountMotifs(g, &mws.builder, &mws.motif);
+      });
+    };
+    for (size_t n : {size_t{256}, size_t{1024}}) {
+      results.push_back(time_count("motif_counts_vg", GaussianNoise(n, 13)));
+    }
+    Series noisy_sine = GaussianNoise(1024, 14, 0.2);
+    const Series sine = Sine(1024, 64.0);
+    for (size_t i = 0; i < noisy_sine.size(); ++i) noisy_sine[i] += sine[i];
+    results.push_back(time_count("motif_counts_vg_noisy_sine", noisy_sine));
+    const Series walk = RandomWalk(1024, 15);
+    const BenchResult walk_now = time_count("motif_counts_vg_random_walk", walk);
+    const Graph walk_vg = BuildVisibilityGraph(walk);
+    const BenchResult walk_legacy =
+        TimeIt("motif_counts_vg_random_walk_legacy", walk.size(), opt,
+               [&] { bench::LegacyCountMotifs(walk_vg); });
+    results.push_back(walk_now);
+    results.push_back(walk_legacy);
+    if (walk_now.ns_per_iter > 0.0) {
+      metrics["motif_count_speedup"] =
+          walk_legacy.ns_per_iter / walk_now.ns_per_iter;
+    }
   }
 
   // --- End-to-end extraction (Algorithm 1, the paper's column G) ---
@@ -774,19 +803,19 @@ int main(int argc, char** argv) {
       stream.Push(feed[cursor++ % feed.size()]);
     }));
 
-    // Zero-steady-state-allocation gate on the pooled build path that
-    // PredictBatch's per-worker workspaces ride on.
+    // Zero-steady-state-allocation gate on the pooled build and motif
+    // count path that PredictBatch's per-worker workspaces ride on.
     VgWorkspace pooled;
     const Series s = GaussianNoise(1024, 4000);
-    for (int warm = 0; warm < 16; ++warm) {
-      BuildVisibilityGraph(s, &pooled);
-      BuildHorizontalVisibilityGraph(s, &pooled);
-    }
+    const auto build_and_count = [&] {
+      const Graph& vg = BuildVisibilityGraph(s, &pooled);
+      CountMotifs(vg, &pooled.builder, &pooled.motif);
+      const Graph& hvg = BuildHorizontalVisibilityGraph(s, &pooled);
+      CountMotifs(hvg, &pooled.builder, &pooled.motif);
+    };
+    for (int warm = 0; warm < 16; ++warm) build_and_count();
     const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-    for (int iter = 0; iter < 64; ++iter) {
-      BuildVisibilityGraph(s, &pooled);
-      BuildHorizontalVisibilityGraph(s, &pooled);
-    }
+    for (int iter = 0; iter < 64; ++iter) build_and_count();
     const uint64_t allocs =
         g_alloc_count.load(std::memory_order_relaxed) - before;
     metrics["serve_pooled_build_alloc_free"] = allocs == 0 ? 1.0 : 0.0;

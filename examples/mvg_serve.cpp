@@ -33,8 +33,9 @@
 //            [--window N] [--hop N]
 //       online monitoring: read one sample per line from stdin into a
 //       StreamingClassifier sliding window; on every completed window
-//       print "<sample-index> <label>". --window is in [0, 1048576]
-//       (0 = the model's train length), --hop in [1, 1048576]
+//       print "<sample-index> <label>". --window is in [0, 32768]
+//       (0 = the model's train length; 32768 is the longest series
+//       feature extraction accepts), --hop in [1, 1048576]
 //   mvg_serve route --model model.mvg --input <ucr-file> --shards N
 //            [--mmap] [--max-inflight W] [--drain K] [--out-preds FILE]
 //       sharded serving: fork N shard worker processes, each serving the
@@ -400,9 +401,10 @@ int CmdServe(int argc, char** argv) {
                 : ServingSession::FromFile(model_path);
   };
   if (HasFlag(argc, argv, 2, "--stream")) {
-    // Bounded so a typo cannot size a huge ring buffer; 0 = train length.
+    // Bounded by the longest series Extract accepts; 0 = train length.
     const size_t window =
-        CountFlag(argc, argv, 2, "--window", "0", 0, 1L << 20);
+        CountFlag(argc, argv, 2, "--window", "0", 0,
+                  static_cast<long>(MvgFeatureExtractor::kMaxSeriesLength));
     const size_t hop = CountFlag(argc, argv, 2, "--hop", "1", 1, 1L << 20);
     ServingSession session = open_session();
     return CmdServeStream(session, window, hop);

@@ -202,22 +202,29 @@ size_t MvgFeatureExtractor::SeriesFeaturesPerScale() const {
              : 0;
 }
 
-std::vector<double> MvgFeatureExtractor::GraphFeatures(const Graph& g) const {
-  const MotifCounts counts = CountMotifs(g);
+void MvgFeatureExtractor::GraphFeatures(const Graph& g, bool horizontal,
+                                        VgWorkspace* ws,
+                                        std::vector<double>* out) const {
+  MotifCounts counts;
+  {
+    const obs::PipelineMetrics& pm = obs::PipelineMetrics::Get();
+    obs::ObsSpan span(horizontal ? pm.hvg_motif_count_seconds
+                                 : pm.vg_motif_count_seconds);
+    counts = CountMotifs(g, &ws->builder, &ws->motif);
+  }
   const auto mpd = MotifProbabilityDistribution(counts);
-  std::vector<double> out(mpd.begin(), mpd.end());
+  out->insert(out->end(), mpd.begin(), mpd.end());
   if (config_.feature_mode != FeatureMode::kMpdsOnly) {
-    out.push_back(Density(g));
     const DegreeStats ds = ComputeDegreeStats(g);
-    out.push_back(ds.min);
-    out.push_back(ds.mean);
-    out.push_back(ds.max);
-    out.push_back(static_cast<double>(MaxCore(g)));
-    out.push_back(DegreeAssortativity(g));
+    // The max core comes from the peel the motif counter just ran.
+    out->insert(out->end(),
+                {Density(g), ds.min, ds.mean, ds.max,
+                 static_cast<double>(ws->motif.peel.max_core),
+                 DegreeAssortativity(g)});
   }
   if (config_.feature_mode == FeatureMode::kExtended) {
-    out.push_back(DegreeDistributionEntropy(g));
-    out.push_back(AverageClustering(g));
+    out->push_back(DegreeDistributionEntropy(g));
+    out->push_back(AverageClustering(g));
     const std::vector<double> bc =
         NormalizeBetweenness(BetweennessCentrality(g), g.num_vertices());
     double mean_bc = 0.0, max_bc = 0.0;
@@ -225,11 +232,10 @@ std::vector<double> MvgFeatureExtractor::GraphFeatures(const Graph& g) const {
       mean_bc += c;
       max_bc = std::max(max_bc, c);
     }
-    out.push_back(bc.empty() ? 0.0
-                             : mean_bc / static_cast<double>(bc.size()));
-    out.push_back(max_bc);
+    out->push_back(bc.empty() ? 0.0
+                              : mean_bc / static_cast<double>(bc.size()));
+    out->push_back(max_bc);
   }
-  return out;
 }
 
 std::vector<double> MvgFeatureExtractor::Extract(const Series& s) const {
@@ -240,6 +246,10 @@ std::vector<double> MvgFeatureExtractor::Extract(const Series& s) const {
 std::vector<double> MvgFeatureExtractor::Extract(const Series& s,
                                                  VgWorkspace* ws) const {
   if (s.empty()) throw std::invalid_argument("Extract: empty series");
+  if (s.size() > kMaxSeriesLength) {
+    throw std::invalid_argument(
+        "Extract: series longer than kMaxSeriesLength (32768) samples");
+  }
   obs::ObsSpan span(obs::PipelineMetrics::Get().feature_extract_seconds);
   // Streaming front-end on the pooled scratch: sanitize into ts.base,
   // detrend it in place, then derive each scale from the previous one's
@@ -265,8 +275,7 @@ std::vector<double> MvgFeatureExtractor::Extract(const Series& s,
     double in_entropy = 0.0, out_entropy = 0.0;
     if (config_.graph_mode != GraphMode::kHvgOnly) {
       const Graph& vg = BuildVisibilityGraph(scale, ws, config_.vg_algorithm);
-      const std::vector<double> f = GraphFeatures(vg);
-      features.insert(features.end(), f.begin(), f.end());
+      GraphFeatures(vg, /*horizontal=*/false, ws, &features);
       if (want_series_features) {
         wstats = WeightedVisibilityGraph::FromGraph(vg, scale)
                      .ComputeWeightStats();
@@ -277,8 +286,7 @@ std::vector<double> MvgFeatureExtractor::Extract(const Series& s,
     }
     if (config_.graph_mode != GraphMode::kVgOnly) {
       const Graph& hvg = BuildHorizontalVisibilityGraph(scale, ws);
-      const std::vector<double> f = GraphFeatures(hvg);
-      features.insert(features.end(), f.begin(), f.end());
+      GraphFeatures(hvg, /*horizontal=*/true, ws, &features);
     }
     if (want_series_features) {
       features.push_back(wstats.mean);

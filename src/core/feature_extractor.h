@@ -64,10 +64,16 @@ class MvgFeatureExtractor {
   MvgFeatureExtractor();
   explicit MvgFeatureExtractor(MvgConfig config);
 
+  /// Longest series Extract accepts. At this length every intermediate of
+  /// the motif counter's closed forms keeps at least 8x int64 headroom,
+  /// even on a complete graph; at 65,536 some of them reach 9.22e18.
+  static constexpr size_t kMaxSeriesLength = 32768;
+
   /// Feature vector of one series. Feature count depends only on the
   /// series length (through the number of scales). Non-finite samples
   /// (NaN, ±inf) are sanitized to nearby finite values first, so features
-  /// are always finite; an empty series throws std::invalid_argument.
+  /// are always finite; an empty series, or one longer than
+  /// kMaxSeriesLength, throws std::invalid_argument.
   std::vector<double> Extract(const Series& s) const;
 
   /// Pooled variant: every graph built during extraction (one VG and/or
@@ -88,11 +94,15 @@ class MvgFeatureExtractor {
   /// study).
   std::vector<std::string> FeatureNames(size_t series_length) const;
 
-  /// Features contributed by a single already-built graph: the 17-entry
-  /// MPD plus (in kAll/kExtended modes) density, min/mean/max degree, max
-  /// coreness, assortativity, and (kExtended) degree entropy, average
-  /// clustering and mean/max normalised betweenness.
-  std::vector<double> GraphFeatures(const Graph& g) const;
+  /// Appends the features of one already-built graph to `*out`: the
+  /// 17-entry MPD plus (in kAll/kExtended modes) density, min/mean/max
+  /// degree, max coreness, assortativity, and (kExtended) degree entropy,
+  /// average clustering and mean/max normalised betweenness. The motif
+  /// count and the max core share one pooled core peel in `ws` (see the
+  /// pooled CountMotifs); `horizontal` picks the kind label of the
+  /// motif-count span.
+  void GraphFeatures(const Graph& g, bool horizontal, VgWorkspace* ws,
+                     std::vector<double>* out) const;
 
   /// Number of features per graph under the current FeatureMode.
   size_t FeaturesPerGraph() const;

@@ -118,6 +118,17 @@ class GraphBuilder {
   /// allocations in the steady state.
   void BuildInto(Graph* g);
 
+  /// The counting sort's two arc arrays, 2 * num_pending_edges() ids each
+  /// after a build and dead once it returns. A pass over the graph just
+  /// built may borrow them as edge-sized scratch instead of allocating its
+  /// own (the motif counter does); the next build overwrites whatever the
+  /// borrower leaves there.
+  struct ArcBuffers {
+    std::vector<Graph::VertexId>* a;
+    std::vector<Graph::VertexId>* b;
+  };
+  ArcBuffers BorrowArcBuffers() { return {&arc_owner_, &arc_nbr_}; }
+
  private:
   size_t num_vertices_ = 0;
   // Pending edges as parallel arrays (struct-of-arrays keeps the counting

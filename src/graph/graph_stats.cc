@@ -52,45 +52,51 @@ DegreeStats ComputeDegreeStats(const Graph& g) {
   return st;
 }
 
-std::vector<size_t> CoreNumbers(const Graph& g) {
+void PeelCores(const Graph& g, CorePeel* peel) {
   // Batagelj & Zaversnik (2003): bucket sort vertices by degree, then
   // repeatedly remove a minimum-degree vertex, decrementing neighbors.
-  const size_t n = g.num_vertices();
-  std::vector<size_t> degree(n), core(n, 0);
-  size_t max_degree = 0;
-  for (size_t v = 0; v < n; ++v) {
-    degree[v] = g.Degree(v);
+  // Degrees are lowered in place; a removed vertex's entry never changes
+  // again, so `core` ends up holding the core numbers.
+  const uint32_t n = static_cast<uint32_t>(g.num_vertices());
+  std::vector<uint32_t>& degree = peel->core;
+  std::vector<uint32_t>& order = peel->order;
+  std::vector<uint32_t>& pos = peel->rank;
+  std::vector<uint32_t>& bin = peel->bin;
+  degree.resize(n);
+  order.resize(n);
+  pos.resize(n);
+  uint32_t max_degree = 0;
+  for (uint32_t v = 0; v < n; ++v) {
+    degree[v] = static_cast<uint32_t>(g.Degree(v));
     max_degree = std::max(max_degree, degree[v]);
   }
   // bin[d] = start offset of vertices with degree d in `order`.
-  std::vector<size_t> bin(max_degree + 2, 0);
-  for (size_t v = 0; v < n; ++v) ++bin[degree[v]];
-  size_t start = 0;
-  for (size_t d = 0; d <= max_degree; ++d) {
-    const size_t count = bin[d];
+  bin.assign(max_degree + 2, 0);
+  for (uint32_t v = 0; v < n; ++v) ++bin[degree[v]];
+  uint32_t start = 0;
+  for (uint32_t d = 0; d <= max_degree; ++d) {
+    const uint32_t count = bin[d];
     bin[d] = start;
     start += count;
   }
-  std::vector<size_t> order(n), pos(n);
-  for (size_t v = 0; v < n; ++v) {
+  for (uint32_t v = 0; v < n; ++v) {
     pos[v] = bin[degree[v]];
     order[pos[v]] = v;
     ++bin[degree[v]];
   }
   // Restore bin starts.
-  for (size_t d = max_degree; d >= 1; --d) bin[d] = bin[d - 1];
+  for (uint32_t d = max_degree; d >= 1; --d) bin[d] = bin[d - 1];
   bin[0] = 0;
 
-  for (size_t i = 0; i < n; ++i) {
-    const size_t v = order[i];
-    core[v] = degree[v];
-    for (Graph::VertexId u : g.Neighbors(static_cast<Graph::VertexId>(v))) {
+  for (uint32_t i = 0; i < n; ++i) {
+    const uint32_t v = order[i];
+    for (Graph::VertexId u : g.Neighbors(v)) {
       if (degree[u] > degree[v]) {
         // Move u to the front of its bucket and decrement its degree.
-        const size_t du = degree[u];
-        const size_t pu = pos[u];
-        const size_t pw = bin[du];
-        const size_t w = order[pw];
+        const uint32_t du = degree[u];
+        const uint32_t pu = pos[u];
+        const uint32_t pw = bin[du];
+        const uint32_t w = order[pw];
         if (u != w) {
           std::swap(order[pu], order[pw]);
           pos[u] = pw;
@@ -101,14 +107,20 @@ std::vector<size_t> CoreNumbers(const Graph& g) {
       }
     }
   }
-  return core;
+  // Vertices leave in nondecreasing core order: the last one has the max.
+  peel->max_core = n == 0 ? 0 : degree[order[n - 1]];
+}
+
+std::vector<size_t> CoreNumbers(const Graph& g) {
+  CorePeel peel;
+  PeelCores(g, &peel);
+  return std::vector<size_t>(peel.core.begin(), peel.core.end());
 }
 
 size_t MaxCore(const Graph& g) {
-  const std::vector<size_t> core = CoreNumbers(g);
-  size_t mx = 0;
-  for (size_t c : core) mx = std::max(mx, c);
-  return mx;
+  CorePeel peel;
+  PeelCores(g, &peel);
+  return peel.max_core;
 }
 
 double DegreeAssortativity(const Graph& g) {

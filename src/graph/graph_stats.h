@@ -2,6 +2,7 @@
 #define MVG_GRAPH_GRAPH_STATS_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "graph/graph.h"
@@ -23,8 +24,25 @@ struct DegreeStats {
 };
 DegreeStats ComputeDegreeStats(const Graph& g);
 
-/// Core number of every vertex via the Batagelj-Zaversnik O(m) bucket
-/// algorithm (paper ref. [5]).
+/// State of one Batagelj-Zaversnik peel (paper ref. [5]): repeatedly
+/// remove a minimum-degree vertex, O(|V| + |E|) with bucket queues. The
+/// removal order is a degeneracy order: every vertex has at most
+/// `max_core` neighbours removed after it, which is what the motif counter
+/// orients its enumeration by. The arrays are 32-bit and keep their
+/// capacity across runs, so a reused peel allocates nothing once warm.
+struct CorePeel {
+  std::vector<uint32_t> order;  ///< vertices in removal order
+  std::vector<uint32_t> rank;   ///< rank[v] = position of v in `order`
+  std::vector<uint32_t> core;   ///< core number of every vertex
+  std::vector<uint32_t> bin;    ///< bucket starts by degree (scratch)
+  uint32_t max_core = 0;        ///< degeneracy, the paper's K (Eq. 3)
+};
+
+/// Peels `g` into `*peel`. CoreNumbers, MaxCore and the motif counter all
+/// run this one peel.
+void PeelCores(const Graph& g, CorePeel* peel);
+
+/// Core number of every vertex (PeelCores' `core`).
 std::vector<size_t> CoreNumbers(const Graph& g);
 
 /// Maximum core number (degeneracy) — the paper's K (Eq. 3).

@@ -1,9 +1,9 @@
 #include "motif/motif_counts.h"
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 #include <vector>
-
-#include "graph/graph_kernels.h"
 
 namespace mvg {
 
@@ -11,16 +11,15 @@ namespace {
 
 int64_t Choose2(int64_t n) { return n < 2 ? 0 : n * (n - 1) / 2; }
 int64_t Choose3(int64_t n) { return n < 3 ? 0 : n * (n - 1) * (n - 2) / 6; }
+// C(n,2) * C(n-2,2) is exactly 6 * C(n,4) and stays inside int64 long
+// after the four-factor product n(n-1)(n-2)(n-3) overflows (n >= 55,109).
 int64_t Choose4(int64_t n) {
-  return n < 4 ? 0 : n * (n - 1) * (n - 2) * (n - 3) / 24;
+  return n < 4 ? 0 : Choose2(n) * Choose2(n - 2) / 6;
 }
 
-/// Sorted-list intersection of two CSR adjacency slices.
-void CommonNeighbors(Graph::NeighborSpan a, Graph::NeighborSpan b,
-                     std::vector<Graph::VertexId>* out) {
-  out->clear();
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(*out));
+/// Grows `v` to at least `size` entries, never shrinking it.
+void EnsureSize(std::vector<uint32_t>* v, size_t size) {
+  if (v->size() < size) v->resize(size);
 }
 
 }  // namespace
@@ -38,9 +37,62 @@ const std::array<std::string, kNumMotifs>& MotifNames() {
 }
 
 MotifCounts CountMotifs(const Graph& g) {
-  const int64_t n = static_cast<int64_t>(g.num_vertices());
+  GraphBuilder lender;
+  MotifScratch scratch;
+  return CountMotifs(g, &lender, &scratch);
+}
+
+MotifCounts CountMotifs(const Graph& g, GraphBuilder* lender,
+                        MotifScratch* scratch) {
+  const size_t num_arcs = 2 * g.num_edges();
+  if (num_arcs >= std::numeric_limits<uint32_t>::max()) {
+    throw std::length_error("CountMotifs: 2^31 or more edges");
+  }
+  const uint32_t nv = static_cast<uint32_t>(g.num_vertices());
+  const int64_t n = nv;
   const int64_t m = static_cast<int64_t>(g.num_edges());
   MotifCounts out;
+
+  // ---- Degeneracy order and the rank-space CSR ----
+  // Vertex v becomes rank[v], its position in the peel order. Each rank's
+  // list holds its neighbours' ranks ascending, so the neighbours peeled
+  // after it are the sorted suffix [up[r], off[r + 1]) and at most
+  // max_core long. Filling the lists source by source in rank order writes
+  // every list already sorted; when source r starts, exactly its
+  // lower-ranked neighbours have written into its list.
+  CorePeel& peel = scratch->peel;
+  PeelCores(g, &peel);
+  const GraphBuilder::ArcBuffers arcs = lender->BorrowArcBuffers();
+  EnsureSize(arcs.a, num_arcs);
+  EnsureSize(arcs.b, num_arcs);
+  uint32_t* adj = arcs.a->data();
+  uint32_t* tri = arcs.b->data();  // triangles per arc; up arcs only
+  scratch->offsets.resize(nv + 1);
+  scratch->up.resize(nv);
+  uint32_t* off = scratch->offsets.data();
+  uint32_t* up = scratch->up.data();
+  off[0] = 0;
+  for (uint32_t r = 0; r < nv; ++r) {
+    off[r + 1] = off[r] + static_cast<uint32_t>(g.Degree(peel.order[r]));
+  }
+  // The build's write cursors go in `core`: only max_core is still needed.
+  uint32_t* cursor = peel.core.data();
+  std::copy(off, off + nv, cursor);
+  for (uint32_t r = 0; r < nv; ++r) {
+    up[r] = cursor[r];
+    for (Graph::VertexId t : g.Neighbors(peel.order[r])) {
+      adj[cursor[peel.rank[t]]++] = r;
+    }
+  }
+  // The peel's per-vertex arrays are dead from here on; the counting
+  // passes reuse them instead of holding arrays of their own.
+  uint32_t* mark = peel.core.data();
+  uint32_t* stamp = peel.order.data();
+  uint32_t* list = peel.rank.data();
+  uint32_t* walks = peel.order.data();  // once the K4 pass is done
+  const auto degree = [off](uint32_t r) -> int64_t {
+    return off[r + 1] - off[r];
+  };
 
   // ---- size 2 ----
   out.m21 = m;
@@ -49,49 +101,90 @@ MotifCounts CountMotifs(const Graph& g) {
   // ---- size 3 ----
   // W = number of wedges (2-walk centers), counts each triangle 3 times.
   int64_t wedges = 0;
-  for (Graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-    wedges += Choose2(static_cast<int64_t>(g.Degree(v)));
+  int64_t star_raw = 0;  // sum_v C(d_v, 3)
+  for (uint32_t r = 0; r < nv; ++r) {
+    wedges += Choose2(degree(r));
+    star_raw += Choose3(degree(r));
   }
 
-  // Triangle counts per edge (sorted-adjacency intersection) plus the
-  // accumulators that feed the 4-node equations.
-  int64_t triangles = 0;          // T
-  int64_t sum_tri_choose2 = 0;    // sum_e C(T_e, 2)  -> diamonds
-  int64_t cliques4_times6 = 0;    // 6 * #K4
-  int64_t tailed_raw = 0;         // sum_Delta (d_u + d_v + d_w - 6)
-  int64_t path3_walks = 0;        // sum_e (d_u - 1)(d_v - 1)
-  std::vector<Graph::VertexId> common;
-  for (Graph::VertexId u = 0; u < g.num_vertices(); ++u) {
-    const auto& nu = g.Neighbors(u);
-    const int64_t du = static_cast<int64_t>(nu.size());
-    for (Graph::VertexId v : nu) {
-      if (v <= u) continue;
-      const auto& nv = g.Neighbors(v);
-      const int64_t dv = static_cast<int64_t>(nv.size());
+  // Triangles, per-edge triangle counts and K4s, plus the accumulators
+  // that feed the 4-node equations. Every triangle u < v < w (by rank) is
+  // found once, from its lowest edge (u, v): w is above v and above u,
+  // which mark[] answers — while u is the source, mark[w] is the arc
+  // (u, w). Marks left by earlier sources lie outside u's arc range and
+  // read as absent, so they are never cleared. The scan of v's upper list
+  // only collects the hits (one compare each, no branch); a second loop
+  // credits each triangle to its three edges. The K4 u < v < w < x is
+  // then counted once, at (u, v): x is above w and stamped as common to u
+  // and v (the stamp is the arc (u, v) + 1, unique to the pair).
+  int64_t triangles = 0;        // T
+  int64_t k4 = 0;               // #K4
+  int64_t tailed_raw = 0;       // sum_Delta (d_u + d_v + d_w - 6)
+  int64_t path3_walks = 0;      // sum_e (d_u - 1)(d_v - 1)
+  std::fill(mark, mark + nv, std::numeric_limits<uint32_t>::max());
+  std::fill(stamp, stamp + nv, 0u);
+  std::fill(tri, tri + num_arcs, 0u);
+  for (uint32_t u = 0; u < nv; ++u) {
+    const uint32_t u_lo = up[u];
+    const uint32_t u_hi = off[u + 1];
+    const int64_t du = degree(u);
+    for (uint32_t a = u_lo; a < u_hi; ++a) mark[adj[a]] = a;
+    // Lists are sorted, so scans stop past the last candidate.
+    const uint32_t u_top = u_lo < u_hi ? adj[u_hi - 1] : 0;
+    for (uint32_t a = u_lo; a < u_hi; ++a) {
+      const uint32_t v = adj[a];
+      const int64_t dv = degree(v);
       path3_walks += (du - 1) * (dv - 1);
-      CommonNeighbors(nu, nv, &common);
-      const int64_t te = static_cast<int64_t>(common.size());
-      sum_tri_choose2 += Choose2(te);
-      // Enumerate each triangle exactly once with w > v > u (the suffix of
-      // the sorted common list past v).
-      const size_t wstart = FirstGreater(common.data(), common.size(), v);
-      triangles += static_cast<int64_t>(common.size() - wstart);
-      for (size_t wi = wstart; wi < common.size(); ++wi) {
-        tailed_raw +=
-            du + dv + static_cast<int64_t>(g.Degree(common[wi])) - 6;
+      uint32_t common = 0;
+      for (uint32_t b = up[v]; b < off[v + 1] && adj[b] <= u_top; ++b) {
+        list[common] = b;
+        common += mark[adj[b]] - u_lo < u_hi - u_lo;  // w above u too
       }
-      // K4: adjacent pairs inside the common neighborhood; counted once
-      // per edge of the K4 (6 times total). The vectorized sorted-
-      // intersection replaces per-pair binary searches: pairs with the
-      // later element adjacent to the earlier are exactly the elements of
-      // common[i+1..] found in N(common[i]).
-      for (size_t i = 0; i + 1 < common.size(); ++i) {
-        const auto& nw = g.Neighbors(common[i]);
-        const size_t start = FirstGreater(nw.data(), nw.size(), common[i]);
-        cliques4_times6 +=
-            CountSortedIntersection(common.data() + i + 1, common.size() - i - 1,
-                                    nw.data() + start, nw.size() - start);
+      triangles += common;
+      tri[a] += common;
+      for (uint32_t i = 0; i < common; ++i) {
+        const uint32_t b = list[i];
+        const uint32_t w = adj[b];
+        ++tri[b];
+        ++tri[mark[w]];
+        tailed_raw += du + dv + degree(w) - 6;
+        stamp[w] = a + 1;
+        list[i] = w;
       }
+      const uint32_t c_top = common > 0 ? list[common - 1] : 0;
+      for (uint32_t i = 0; i + 1 < common; ++i) {
+        const uint32_t w = list[i];
+        for (uint32_t b = up[w]; b < off[w + 1] && adj[b] <= c_top; ++b) {
+          k4 += stamp[adj[b]] == a + 1;
+        }
+      }
+    }
+  }
+  int64_t sum_tri_choose2 = 0;  // sum_e C(T_e, 2)  -> diamonds
+  for (uint32_t u = 0; u < nv; ++u) {
+    for (uint32_t a = up[u]; a < off[u + 1]; ++a) {
+      sum_tri_choose2 += Choose2(tri[a]);
+    }
+  }
+
+  // Non-induced 4-cycles, each counted once from its top-ranked vertex u:
+  // the 2-walks u -> x -> w through lower-ranked x and w meet in pairs at
+  // the opposite vertex w, C(walks[w], 2) of them, summed as they arrive
+  // (the k-th walk to reach w adds k - 1 pairs). x's neighbours below u
+  // are the prefix of its sorted list that ends at u itself. A second
+  // walk over the same paths zeroes the counts, so each u costs O(walks).
+  int64_t noninduced_c4 = 0;
+  std::fill(walks, walks + nv, 0u);
+  for (uint32_t u = 0; u < nv; ++u) {
+    for (uint32_t a = off[u]; a < up[u]; ++a) {
+      const uint32_t x = adj[a];
+      for (uint32_t b = off[x]; adj[b] != u; ++b) {
+        noninduced_c4 += walks[adj[b]]++;
+      }
+    }
+    for (uint32_t a = off[u]; a < up[u]; ++a) {
+      const uint32_t x = adj[a];
+      for (uint32_t b = off[x]; adj[b] != u; ++b) walks[adj[b]] = 0;
     }
   }
 
@@ -101,41 +194,8 @@ MotifCounts CountMotifs(const Graph& g) {
   out.m34 = Choose3(n) - out.m31 - out.m32 - out.m33;
 
   // ---- size 4, connected ----
-  // Non-induced 4-cycles: for every vertex u, count 2-walks u -> x -> w per
-  // far endpoint w; C(cnt,2) picks two parallel walks. Every cycle is seen
-  // from each of its 4 vertices once.
-  // Walk counts live in a flat array indexed by far endpoint (zeroed via a
-  // touched list, so each source costs O(walks), not O(n)) instead of a
-  // hash map: no rehashing in the inner loop, and the Choose2 sum is over
-  // integers, so the changed visit order cannot change the total.
-  int64_t cycle_walks = 0;
-  {
-    std::vector<int64_t> cnt(g.num_vertices(), 0);
-    std::vector<Graph::VertexId> touched;
-    for (Graph::VertexId u = 0; u < g.num_vertices(); ++u) {
-      touched.clear();
-      for (Graph::VertexId x : g.Neighbors(u)) {
-        for (Graph::VertexId w : g.Neighbors(x)) {
-          if (w != u) {
-            if (cnt[w]++ == 0) touched.push_back(w);
-          }
-        }
-      }
-      for (const Graph::VertexId w : touched) {
-        cycle_walks += Choose2(cnt[w]);
-        cnt[w] = 0;
-      }
-    }
-  }
-  const int64_t noninduced_c4 = cycle_walks / 4;
-
-  int64_t star_raw = 0;  // sum_v C(d_v, 3)
-  for (Graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-    star_raw += Choose3(static_cast<int64_t>(g.Degree(v)));
-  }
   const int64_t noninduced_p4 = path3_walks - 3 * triangles;
 
-  const int64_t k4 = cliques4_times6 / 6;
   const int64_t diamond = sum_tri_choose2 - 6 * k4;
   const int64_t tailed = tailed_raw - 4 * diamond - 12 * k4;
   const int64_t cycle4 = noninduced_c4 - diamond - 3 * k4;

@@ -4,8 +4,10 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "graph/graph.h"
+#include "graph/graph_stats.h"
 
 namespace mvg {
 
@@ -37,12 +39,45 @@ struct MotifCounts {
 /// Canonical motif names ("M21", ..., "M411") in ToArray() order.
 const std::array<std::string, kNumMotifs>& MotifNames();
 
-/// Counts all induced motifs up to size 4 with PGD-style combinatorial
-/// equations (triangle counts per edge, wedge sums, degree sums, disjoint
-/// edge pairs, plus the non-induced -> induced conversion). Runs in
-/// O(m * Delta + #wedges) — no 4-subset enumeration. Requires a finalized
-/// graph.
+/// O(|V|) scratch of the pooled motif counter: the core peel plus the
+/// rank-space CSR offsets. Once the CSR is built the peel's per-vertex
+/// arrays are reused as the counting passes' marks, so after a count only
+/// `peel.max_core` still describes the graph. Every array is 32-bit and
+/// keeps its capacity across calls.
+struct MotifScratch {
+  CorePeel peel;
+  std::vector<uint32_t> offsets;  ///< rank-space CSR offsets, |V| + 1
+  std::vector<uint32_t> up;       ///< first higher-ranked arc of each rank
+};
+
+/// Counts all induced motifs up to size 4 with PGD's combinatorial
+/// equations (Ahmed et al., "Efficient Graphlet Counting for Large
+/// Networks", ICDM 2015): per-edge triangle counts, K4s and non-induced
+/// 4-cycles are enumerated; everything else follows from degree sums and
+/// the non-induced -> induced conversion — no 4-subset enumeration.
+///
+/// The enumeration is one pass oriented by the degeneracy order of a core
+/// peel (Chiba & Nishizeki, "Arboricity and subgraph listing algorithms",
+/// SIAM J. Comput. 1985): every vertex has at most alpha neighbours
+/// ranked above it, alpha the degeneracy (max core), so the pass runs in
+/// O(m * alpha) and a hub no longer costs the square of its degree.
+///
+/// Counts are exact whenever the closed forms fit in int64. Feature
+/// extraction caps series at MvgFeatureExtractor::kMaxSeriesLength
+/// (32,768) samples, where every intermediate keeps at least 8x headroom
+/// even on a complete graph. Throws std::length_error for 2^31 or more
+/// edges (the pass indexes arcs with 32 bits).
 MotifCounts CountMotifs(const Graph& g);
+
+/// Pooled variant, same counts. Only O(|V|) arrays live in `scratch`. The
+/// edge-sized buffers — the rank-space adjacency (2|E| ids) and the
+/// per-edge triangle counts — are borrowed from `lender`'s arc arrays
+/// (GraphBuilder::BorrowArcBuffers), which are free between builds: pass
+/// the builder that built `g`, and a warm call allocates nothing. Either
+/// way the next build through `lender` overwrites them. Afterwards
+/// scratch->peel.max_core is g's max core (degeneracy).
+MotifCounts CountMotifs(const Graph& g, GraphBuilder* lender,
+                        MotifScratch* scratch);
 
 /// O(n^4) brute-force enumerator used by the property tests (n <= ~40).
 MotifCounts CountMotifsBruteForce(const Graph& g);

@@ -35,6 +35,14 @@ PipelineMetrics& PipelineMetrics::Get() {
     m->hvg_build_seconds = r.RegisterHistogram(
         "mvg_vg_build_seconds", "Wall time of one pooled visibility-graph build",
         t, "kind=\"hvg\"");
+    m->vg_motif_count_seconds = r.RegisterHistogram(
+        "mvg_motif_count_seconds",
+        "Wall time of one pooled motif count of a visibility graph", t,
+        "kind=\"vg\"");
+    m->hvg_motif_count_seconds = r.RegisterHistogram(
+        "mvg_motif_count_seconds",
+        "Wall time of one pooled motif count of a visibility graph", t,
+        "kind=\"hvg\"");
     m->feature_extract_seconds = r.RegisterHistogram(
         "mvg_feature_extract_seconds",
         "Wall time of one per-series MVG feature extraction", t);

@@ -87,6 +87,8 @@ struct PipelineMetrics {
   // Stage spans.
   Histogram* vg_build_seconds;        // kind="vg"
   Histogram* hvg_build_seconds;       // kind="hvg"
+  Histogram* vg_motif_count_seconds;  // kind="vg"
+  Histogram* hvg_motif_count_seconds;  // kind="hvg"
   Histogram* feature_extract_seconds;
   Histogram* hist_reduce_seconds;
   Histogram* gbt_round_seconds;

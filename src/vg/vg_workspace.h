@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "motif/motif_counts.h"
 #include "ts/ts_kernels.h"
 
 namespace mvg {
@@ -15,9 +16,10 @@ namespace mvg {
 /// The batch workloads (MvgFeatureExtractor::ExtractAll, multiscale sweeps,
 /// the perf suite) build thousands of graphs back to back; routing them
 /// through one VgWorkspace pools the edge buffers, the counting-sort
-/// scratch, the recursion/monotone stacks and the output CSR arrays, so
-/// after the first few builds have grown the buffers to their steady-state
-/// capacity, constructing another graph performs zero heap allocations.
+/// scratch, the recursion/monotone stacks, the output CSR arrays and the
+/// motif counter's scratch, so after the first few builds have grown the
+/// buffers to their steady-state capacity, constructing and counting
+/// another graph performs zero heap allocations.
 ///
 /// Contract: a workspace is single-threaded state. The Graph reference
 /// returned by a workspace-based builder points at `graph` and is
@@ -34,6 +36,9 @@ struct VgWorkspace {
   std::vector<double> value_stack;
   /// Recycled output storage for workspace-based builds.
   Graph graph;
+  /// O(n) scratch of the pooled motif counter; its edge-sized buffers are
+  /// borrowed from `builder` (GraphBuilder::BorrowArcBuffers).
+  MotifScratch motif;
   /// Pooled buffers of the extraction front-end (sanitized/detrended T0 +
   /// the halved scales), so MvgFeatureExtractor::Extract allocates nothing
   /// on the series-assembly path either once warmed up.

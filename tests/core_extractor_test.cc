@@ -1,9 +1,14 @@
+#include <cstring>
+
 #include <gtest/gtest.h>
 
+#include "bench/legacy_motif.h"
 #include "core/feature_extractor.h"
+#include "graph/graph_stats.h"
 #include "motif/motif_counts.h"
 #include "tests/test_util.h"
 #include "ts/generators.h"
+#include "ts/ts_kernels.h"
 
 namespace mvg {
 namespace {
@@ -134,6 +139,52 @@ TEST(FeatureExtractor, NaiveAndDcAlgorithmsAgree) {
 TEST(FeatureExtractor, EmptySeriesThrows) {
   const MvgFeatureExtractor fx;
   EXPECT_THROW(fx.Extract({}), std::invalid_argument);
+}
+
+TEST(FeatureExtractor, SeriesPastTheLengthCapThrows) {
+  // Above kMaxSeriesLength the motif counter's int64 closed forms would
+  // lose their headroom; the cap is checked before any work.
+  const MvgFeatureExtractor fx;
+  EXPECT_EQ(MvgFeatureExtractor::kMaxSeriesLength, 32768u);
+  const Series too_long(MvgFeatureExtractor::kMaxSeriesLength + 1, 1.0);
+  EXPECT_THROW(fx.Extract(too_long), std::invalid_argument);
+  VgWorkspace ws;
+  EXPECT_THROW(fx.Extract(too_long, &ws), std::invalid_argument);
+}
+
+TEST(FeatureExtractor, ExtractMatchesLegacyStageComposition) {
+  // Extract's pooled pass (one core peel shared by the motif count and the
+  // max core) reproduces, bit for bit, the stages composed the old way:
+  // the frozen legacy counter plus the standalone graph statistics.
+  const MvgFeatureExtractor fx;
+  VgWorkspace ws;
+  const Series inputs[] = {RandomWalk(700, 5), Sine(513, 40.0),
+                           GaussianNoise(300, 8)};
+  for (const Series& s : inputs) {
+    Series base = s;
+    ts_kernels::DetrendInPlace(base.data(), base.size());
+    const std::vector<Series> scales =
+        MultiscaleRepresentation(base, fx.config().scale_mode, fx.config().tau);
+    std::vector<double> expected;
+    const auto append = [&](const Graph& g) {
+      const auto mpd =
+          MotifProbabilityDistribution(bench::LegacyCountMotifs(g));
+      expected.insert(expected.end(), mpd.begin(), mpd.end());
+      const DegreeStats ds = ComputeDegreeStats(g);
+      expected.insert(expected.end(),
+                      {Density(g), ds.min, ds.mean, ds.max,
+                       static_cast<double>(MaxCore(g)),
+                       DegreeAssortativity(g)});
+    };
+    for (const Series& scale : scales) {
+      append(BuildVisibilityGraph(scale));
+      append(BuildHorizontalVisibilityGraph(scale));
+    }
+    const std::vector<double> got = fx.Extract(s, &ws);
+    ASSERT_EQ(got.size(), expected.size());
+    EXPECT_EQ(0, std::memcmp(got.data(), expected.data(),
+                             got.size() * sizeof(double)));
+  }
 }
 
 TEST(FeatureExtractor, FeaturesSeparateChaosFromNoise) {

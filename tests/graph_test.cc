@@ -2,6 +2,7 @@
 
 #include "graph/graph.h"
 #include "graph/graph_stats.h"
+#include "motif/motif_counts.h"
 #include "util/random.h"
 #include "util/statistics.h"
 
@@ -130,6 +131,38 @@ TEST(GraphStats, MaxCoreMatchesBruteForceOnRandomGraphs) {
   for (uint64_t seed = 0; seed < 20; ++seed) {
     const Graph g = MakeRandom(24, 0.15 + 0.02 * static_cast<double>(seed), seed);
     EXPECT_EQ(MaxCore(g), BruteForceMaxCore(g)) << "seed=" << seed;
+  }
+}
+
+TEST(GraphStats, PeelOrderIsADegeneracyOrder) {
+  // Every vertex has at most max_core neighbours peeled after it — the
+  // bound the motif counter's orientation relies on — and no vertex's
+  // core number exceeds the max.
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    const Graph g = MakeRandom(30, 0.1 + 0.03 * static_cast<double>(seed), seed);
+    CorePeel peel;
+    PeelCores(g, &peel);
+    EXPECT_EQ(peel.max_core, BruteForceMaxCore(g)) << "seed=" << seed;
+    for (Graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+      EXPECT_EQ(peel.order[peel.rank[v]], v);
+      EXPECT_LE(peel.core[v], peel.max_core);
+      uint32_t later = 0;
+      for (Graph::VertexId u : g.Neighbors(v)) later += peel.rank[u] > peel.rank[v];
+      EXPECT_LE(later, peel.core[v]) << "seed=" << seed << " v=" << v;
+    }
+  }
+}
+
+TEST(GraphStats, MotifCounterPeelMatchesBruteForceMaxCore) {
+  // Feature extraction takes the max core from the motif counter's peel,
+  // reused across graphs of different sizes.
+  GraphBuilder lender;
+  MotifScratch scratch;
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    const size_t n = 12 + 3 * (seed % 7);
+    const Graph g = MakeRandom(n, 0.15 + 0.02 * static_cast<double>(seed), seed);
+    CountMotifs(g, &lender, &scratch);
+    EXPECT_EQ(scratch.peel.max_core, BruteForceMaxCore(g)) << "seed=" << seed;
   }
 }
 

@@ -1,7 +1,11 @@
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bench/legacy_motif.h"
+#include "graph/graph_stats.h"
 #include "motif/motif_counts.h"
 #include "ts/generators.h"
 #include "util/random.h"
@@ -134,15 +138,176 @@ INSTANTIATE_TEST_SUITE_P(
         RandomGraphCase{24, 0.25, 13}, RandomGraphCase{28, 0.2, 14},
         RandomGraphCase{32, 0.12, 15}));
 
+/// The series shapes of the parity corpus: smooth inputs give dense VGs
+/// with hubs, noise the sparse best case.
+Series Shape(const std::string& kind, size_t n, uint64_t seed) {
+  const double period = static_cast<double>(n) / 16.0;
+  if (kind == "walk") return RandomWalk(n, seed);
+  if (kind == "sine") return Sine(n, period, 1.0, 0.1 * seed);
+  Series s = GaussianNoise(n, seed, kind == "noisy_sine" ? 0.2 : 1.0);
+  if (kind == "noisy_sine") {
+    const Series base = Sine(n, period);
+    for (size_t i = 0; i < n; ++i) s[i] += base[i];
+  }
+  return s;
+}
+
+const char* const kShapes[] = {"walk", "sine", "noisy_sine", "noise"};
+
+Graph MakeStar(size_t leaves) {
+  GraphBuilder b(leaves + 1);
+  for (Graph::VertexId i = 1; i <= leaves; ++i) b.AddEdge(0, i);
+  return b.Build();
+}
+
+/// Hub 0 joined to every vertex of the cycle 1..rim.
+Graph MakeWheel(size_t rim) {
+  GraphBuilder b(rim + 1);
+  for (Graph::VertexId i = 1; i <= rim; ++i) {
+    b.AddEdge(0, i);
+    b.AddEdge(i, i == rim ? 1 : i + 1);
+  }
+  return b.Build();
+}
+
+Graph MakeComplete(size_t n) { return MakeRandom(n, 1.0, 0); }
+
+Graph MakeCompleteBipartite(size_t a, size_t b) {
+  GraphBuilder gb(a + b);
+  for (Graph::VertexId i = 0; i < a; ++i) {
+    for (Graph::VertexId j = 0; j < b; ++j) {
+      gb.AddEdge(i, static_cast<Graph::VertexId>(a + j));
+    }
+  }
+  return gb.Build();
+}
+
+TEST(MotifCounts, MatchesBruteForceOnStructuredGraphs) {
+  // Hubs, dense cores and triangle-free graphs stress the degeneracy
+  // orientation from every side.
+  const std::vector<std::pair<std::string, Graph>> cases = {
+      {"star5", MakeStar(5)},          {"star30", MakeStar(30)},
+      {"wheel4", MakeWheel(4)},        {"wheel12", MakeWheel(12)},
+      {"wheel35", MakeWheel(35)},      {"K1", MakeComplete(1)},
+      {"K4", MakeComplete(4)},         {"K7", MakeComplete(7)},
+      {"K16", MakeComplete(16)},       {"K1,9", MakeCompleteBipartite(1, 9)},
+      {"K3,4", MakeCompleteBipartite(3, 4)},
+      {"K6,9", MakeCompleteBipartite(6, 9)},
+      {"K12,12", MakeCompleteBipartite(12, 12)}};
+  for (const auto& [name, g] : cases) {
+    ExpectSameCounts(CountMotifs(g), CountMotifsBruteForce(g), name);
+  }
+}
+
 TEST(MotifCounts, MatchesBruteForceOnVisibilityGraphs) {
-  // The real use case: VGs/HVGs of small series.
+  // The real use case: VGs/HVGs of small series, smooth ones included.
   for (uint64_t seed = 0; seed < 6; ++seed) {
     const Series s = GaussianNoise(24, seed * 7 + 1);
     const Graph vg = BuildVisibilityGraph(s);
     const Graph hvg = BuildHorizontalVisibilityGraph(s);
     ExpectSameCounts(CountMotifs(vg), CountMotifsBruteForce(vg), "vg");
-    ExpectSameCounts(CountMotifs(hvg), CountMotifsBruteForce(hvg), "hvg");
+    const MotifCounts hc = CountMotifs(hvg);
+    ExpectSameCounts(hc, CountMotifsBruteForce(hvg), "hvg");
+    EXPECT_EQ(hc.m41, 0) << "HVGs are outerplanar";
   }
+  for (const char* kind : {"walk", "sine", "noisy_sine"}) {
+    for (size_t n : {size_t{24}, size_t{31}, size_t{40}}) {
+      for (uint64_t seed = 1; seed <= 2; ++seed) {
+        const Series s = Shape(kind, n, seed);
+        const Graph vg = BuildVisibilityGraph(s);
+        const Graph hvg = BuildHorizontalVisibilityGraph(s);
+        const std::string ctx = std::string(kind) + " n=" +
+                                std::to_string(n) +
+                                " seed=" + std::to_string(seed);
+        ExpectSameCounts(CountMotifs(vg), CountMotifsBruteForce(vg),
+                         "vg " + ctx);
+        const MotifCounts hc = CountMotifs(hvg);
+        ExpectSameCounts(hc, CountMotifsBruteForce(hvg), "hvg " + ctx);
+        EXPECT_EQ(hc.m41, 0) << "HVGs are outerplanar: " << ctx;
+      }
+    }
+  }
+}
+
+TEST(MotifCounts, MatchesLegacyCounterOnVisibilityGraphs) {
+  // Exact parity with the counter the degeneracy-ordered pass replaced,
+  // at the lengths the pipeline sees.
+  for (const char* kind : kShapes) {
+    for (size_t n : {size_t{256}, size_t{1024}, size_t{2048}}) {
+      const Series s = Shape(kind, n, 3);
+      const Graph vg = BuildVisibilityGraph(s);
+      const Graph hvg = BuildHorizontalVisibilityGraph(s);
+      const std::string ctx = std::string(kind) + " n=" + std::to_string(n);
+      ExpectSameCounts(CountMotifs(vg), bench::LegacyCountMotifs(vg),
+                       "vg " + ctx);
+      const MotifCounts hc = CountMotifs(hvg);
+      ExpectSameCounts(hc, bench::LegacyCountMotifs(hvg), "hvg " + ctx);
+      EXPECT_EQ(hc.m41, 0) << "HVGs are outerplanar: " << ctx;
+    }
+  }
+}
+
+TEST(MotifCounts, ReusedWorkspaceMatchesFreshCounts) {
+  // One workspace across growing and shrinking graphs: the pooled pass
+  // borrows the builder's arc arrays and reuses its O(n) scratch, and
+  // must count every graph exactly like a fresh call.
+  VgWorkspace ws;
+  const size_t sizes[] = {64, 512, 2048, 128, 1024, 16, 700};
+  uint64_t seed = 40;
+  for (size_t n : sizes) {
+    for (const char* kind : kShapes) {
+      const Series s = Shape(kind, n, ++seed);
+      const Graph& vg = BuildVisibilityGraph(s, &ws);
+      const Graph vg_copy = vg;
+      const MotifCounts pooled = CountMotifs(vg, &ws.builder, &ws.motif);
+      ExpectSameCounts(pooled, CountMotifs(vg_copy),
+                       std::string("vg ") + kind + " n=" + std::to_string(n));
+      EXPECT_EQ(ws.motif.peel.max_core, MaxCore(vg_copy));
+      const Graph& hvg = BuildHorizontalVisibilityGraph(s, &ws);
+      const Graph hvg_copy = hvg;
+      const MotifCounts hpooled = CountMotifs(hvg, &ws.builder, &ws.motif);
+      ExpectSameCounts(hpooled, CountMotifs(hvg_copy),
+                       std::string("hvg ") + kind + " n=" + std::to_string(n));
+      EXPECT_EQ(ws.motif.peel.max_core, MaxCore(hvg_copy));
+      EXPECT_EQ(hpooled.m41, 0);
+    }
+  }
+}
+
+/// C(n, 4) in 128 bits, and the 4-node counts summed in 128 bits, so
+/// neither side can wrap.
+unsigned __int128 Choose4Wide(uint64_t n) {
+  const unsigned __int128 w = n;
+  return w * (w - 1) * (w - 2) * (w - 3) / 24;
+}
+unsigned __int128 SumSize4(const MotifCounts& c) {
+  unsigned __int128 sum = 0;
+  const auto a = c.ToArray();
+  for (size_t i = 6; i < kNumMotifs; ++i) {
+    EXPECT_GE(a[i], 0) << MotifNames()[i];
+    sum += static_cast<unsigned __int128>(a[i]);
+  }
+  return sum;
+}
+
+TEST(MotifCounts, SizeFourCountsExactAtTheSeriesLengthCap) {
+  // At 32,768 vertices (the longest series Extract accepts) the 4-node
+  // counts still partition all C(n, 4) vertex subsets; n(n-1)(n-2)(n-3)
+  // alone would overflow int64 from n = 55,109, so Choose4 must not form
+  // it. The sanitizer lane runs this under UBSan.
+  const uint64_t n = 32768;
+  const MotifCounts empty = CountMotifs(Graph(n));
+  EXPECT_TRUE(SumSize4(empty) == Choose4Wide(n));
+  EXPECT_TRUE(static_cast<unsigned __int128>(empty.m411) == Choose4Wide(n));
+  GraphBuilder b(n);
+  for (Graph::VertexId i = 0; i + 1 < n; ++i) b.AddEdge(i, i + 1);
+  const MotifCounts path = CountMotifs(b.Build());
+  EXPECT_TRUE(SumSize4(path) == Choose4Wide(n));
+  EXPECT_EQ(path.m46, static_cast<int64_t>(n - 3));
+  // Past the old overflow point the edgeless count is still exact.
+  const uint64_t big = 70000;
+  EXPECT_TRUE(static_cast<unsigned __int128>(CountMotifs(Graph(big)).m411) ==
+              Choose4Wide(big));
 }
 
 TEST(MotifProbability, GroupsSumToOne) {
