@@ -17,7 +17,7 @@
 #include "core/mvg_classifier.h"
 #include "ml/metrics.h"
 #include "ml/stat_tests.h"
-#include "util/parallel.h"
+#include "util/executor.h"
 #include "util/timer.h"
 
 namespace {

@@ -8,7 +8,7 @@
 #include "baselines/fast_shapelets.h"
 #include "bench/bench_util.h"
 #include "core/mvg_classifier.h"
-#include "util/parallel.h"
+#include "util/executor.h"
 #include "util/timer.h"
 
 namespace {

@@ -61,7 +61,7 @@
 #include "ts/ucr_io.h"
 #include "util/aligned_buffer.h"
 #include "util/binary_io.h"
-#include "util/parallel.h"
+#include "util/executor.h"
 #include "util/random.h"
 #include "util/simd.h"
 #include "util/timer.h"
@@ -853,7 +853,9 @@ int main(int argc, char** argv) {
     };
     const BenchResult pooled =
         TimeIt("parallel_for_small_n_pool", small_n, opt,
-               [&] { ParallelFor(small_n, fan, small_body); });
+               [&] {
+                 Executor::Global().ParallelFor(small_n, fan, small_body);
+               });
     const BenchResult spawned =
         TimeIt("parallel_for_small_n_spawn", small_n, opt,
                [&] { bench::LegacySpawnParallelFor(small_n, fan, small_body); });

@@ -20,7 +20,7 @@
 #include "bench/bench_util.h"
 #include "core/mvg_classifier.h"
 #include "ml/stat_tests.h"
-#include "util/parallel.h"
+#include "util/executor.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
 #include "util/timer.h"

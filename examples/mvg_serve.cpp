@@ -71,7 +71,6 @@
 #include "ts/paged_ucr_reader.h"
 #include "ts/ucr_io.h"
 #include "util/executor.h"
-#include "util/parallel.h"
 #include "util/timer.h"
 
 namespace {

@@ -11,7 +11,7 @@
 #include "motif/motif_counts.h"
 #include "obs/obs.h"
 #include "ts/ts_kernels.h"
-#include "util/parallel.h"
+#include "util/executor.h"
 #include "vg/weighted_visibility_graph.h"
 
 namespace mvg {
@@ -317,10 +317,11 @@ Matrix MvgFeatureExtractor::ExtractAll(const Dataset& ds,
   // run under the thief's own slot), so the workspaces need no locking
   // and stay warm across the whole batch.
   std::vector<VgWorkspace> workspaces(MaxWorkers(ds.size(), num_threads));
-  ParallelForWorker(ds.size(), num_threads, [&](size_t worker, size_t i) {
-    x[i] = Extract(ds.series(i), &workspaces[worker]);
-    x[i].resize(width, 0.0);
-  });
+  Executor::Global().ParallelForWorker(
+      ds.size(), num_threads, [&](size_t worker, size_t i) {
+        x[i] = Extract(ds.series(i), &workspaces[worker]);
+        x[i].resize(width, 0.0);
+      });
   return x;
 }
 

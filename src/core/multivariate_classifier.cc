@@ -6,7 +6,7 @@
 #include "ml/gradient_boosting.h"
 #include "ml/model_selection.h"
 #include "ml/random_forest.h"
-#include "util/parallel.h"
+#include "util/executor.h"
 #include "util/timer.h"
 
 namespace mvg {

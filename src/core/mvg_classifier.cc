@@ -13,7 +13,7 @@
 #include "ml/stacking.h"
 #include "ml/svm.h"
 #include "ts/paged_ucr_reader.h"
-#include "util/parallel.h"
+#include "util/executor.h"
 #include "util/timer.h"
 
 namespace mvg {
@@ -281,7 +281,7 @@ void MvgClassifier::FitSketchBinned(const RowBlockSource& blocks,
     const size_t base = next_row;
     next_row += rows.size();
     if (next_row > n) return;  // reported below, before any slot overflows.
-    ParallelFor(rows.size(), threads, [&](size_t i) {
+    Executor::Global().ParallelFor(rows.size(), threads, [&](size_t i) {
       ft.BinRowInto(rows[i].data(), rows[i].size(), base + i);
     });
   });

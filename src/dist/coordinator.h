@@ -44,8 +44,8 @@ class SocketReducer : public HistogramReducer {
 ///
 /// Fork-safety: call this before any threads exist in the calling
 /// process (in particular before Executor::SetGlobalConcurrency / any
-/// ParallelFor) — the children are free to create their own pools after
-/// the fork, the parent only does frame I/O.
+/// Executor::Global().ParallelFor) — the children are free to create
+/// their own pools after the fork, the parent only does frame I/O.
 std::string RunDistributedTraining(
     size_t workers,
     const std::function<std::string(HistogramReducer*)>& fit);

@@ -10,7 +10,7 @@
 #include "ml/histogram_reducer.h"
 #include "obs/obs.h"
 #include "util/binary_io.h"
-#include "util/parallel.h"
+#include "util/executor.h"
 #include "util/random.h"
 
 namespace mvg {
@@ -429,7 +429,7 @@ void GradientBoostingClassifier::FitRounds(const FeatureTable* ft,
     // interleaved buffers. Each (row, output) cell is a pure function of
     // that row's logits, so the fusion (and the thread partitioning) is
     // invisible in the results.
-    ParallelFor(
+    Executor::Global().ParallelFor(
         n, params_.num_threads,
         [&](size_t i) {
           const double* lg = logits[i].data();
@@ -454,7 +454,7 @@ void GradientBoostingClassifier::FitRounds(const FeatureTable* ft,
     // per output and merged in output order below.
     std::vector<Tree> round_trees(num_outputs);
     std::vector<std::vector<uint16_t>> round_bins(num_outputs);
-    ParallelFor(num_outputs, tree_threads, [&](size_t out) {
+    Executor::Global().ParallelFor(num_outputs, tree_threads, [&](size_t out) {
       std::fill(out_gains[out].begin(), out_gains[out].end(), 0.0);
       if (hist) {
         HistBuilder builder(*ft, ghs[out], params_, cols[out],
@@ -590,7 +590,7 @@ void GradientBoostingClassifier::UpdateLogitsWithTree(
   // out-of-order execution already overlaps across loop iterations), so the
   // simple shape — which is also trivially bit-identical to any reordering —
   // is the one that ships.
-  ParallelFor(
+  Executor::Global().ParallelFor(
       src.size(), num_threads,
       [&](size_t i) {
         const std::vector<double>& xr = x[src[i]];
@@ -613,7 +613,7 @@ void GradientBoostingClassifier::UpdateLogitsWithTreeBinned(
   // (bin(f, r) <= b  <=>  value <= threshold(f, b) by the FeatureTable
   // binning contract), so this update and UpdateLogitsWithTree on the
   // materialised features agree bit for bit.
-  ParallelFor(
+  Executor::Global().ParallelFor(
       rows_global.size(), num_threads,
       [&](size_t i) {
         const size_t r = rows_global[i];

@@ -7,7 +7,7 @@
 
 #include "ml/feature_table.h"
 #include "ml/metrics.h"
-#include "util/parallel.h"
+#include "util/executor.h"
 #include "util/random.h"
 
 namespace mvg {
@@ -135,7 +135,7 @@ GridSearchResult SearchCells(const char* name, size_t num_candidates,
   const std::vector<char> usable = UsableFolds(folds, y);
   const size_t num_cells = num_candidates * folds.size();
   std::vector<double> cell_scores(num_cells, 0.0);
-  ParallelFor(num_cells, num_threads, [&](size_t cell) {
+  Executor::Global().ParallelFor(num_cells, num_threads, [&](size_t cell) {
     const size_t c = cell / folds.size();
     const size_t f = cell % folds.size();
     if (usable[f]) cell_scores[cell] = score(c, folds[f]);

@@ -4,7 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "util/parallel.h"
+#include "util/executor.h"
 
 namespace mvg {
 
@@ -260,7 +260,7 @@ void CutSketcher::AddRows(const std::vector<std::vector<double>>& page,
   // row order, so the per-feature stream — and therefore the sketch state
   // — is independent of the thread count. The column is gathered into a
   // contiguous scratch first so the sketch takes the AddBulk fast path.
-  ParallelFor(sketches_.size(), num_threads, [&](size_t f) {
+  Executor::Global().ParallelFor(sketches_.size(), num_threads, [&](size_t f) {
     std::vector<double> col(page.size());
     for (size_t r = 0; r < page.size(); ++r) {
       col[r] = f < page[r].size() ? page[r][f] : 0.0;

@@ -6,7 +6,7 @@
 
 #include "ml/histogram_reducer.h"
 #include "util/binary_io.h"
-#include "util/parallel.h"
+#include "util/executor.h"
 #include "util/random.h"
 
 namespace mvg {
@@ -104,22 +104,23 @@ void RandomForestClassifier::FitTrees(const FeatureTable* ft, const Matrix* x,
   const size_t tree_threads =
       params_.reducer != nullptr ? 1 : params_.num_threads;
   trees_.assign(params_.num_trees, DecisionTreeClassifier());
-  ParallelFor(params_.num_trees, tree_threads, [&](size_t t) {
-    DecisionTreeClassifier::Params tp;
-    tp.max_depth = params_.max_depth;
-    tp.min_samples_leaf = params_.min_samples_leaf;
-    tp.max_features = mtry;
-    tp.seed = tree_seeds[t];
-    tp.split = params_.split;
-    tp.max_bins = params_.max_bins;
-    tp.reducer = params_.reducer;
-    trees_[t] = DecisionTreeClassifier(tp);
-    if (hist) {
-      trees_[t].FitBinned(*ft, y_ids, num_classes, tree_rows[t]);
-    } else {
-      trees_[t].FitExactOnView(*x, rows, y_ids, num_classes, tree_rows[t]);
-    }
-  });
+  Executor::Global().ParallelFor(
+      params_.num_trees, tree_threads, [&](size_t t) {
+        DecisionTreeClassifier::Params tp;
+        tp.max_depth = params_.max_depth;
+        tp.min_samples_leaf = params_.min_samples_leaf;
+        tp.max_features = mtry;
+        tp.seed = tree_seeds[t];
+        tp.split = params_.split;
+        tp.max_bins = params_.max_bins;
+        tp.reducer = params_.reducer;
+        trees_[t] = DecisionTreeClassifier(tp);
+        if (hist) {
+          trees_[t].FitBinned(*ft, y_ids, num_classes, tree_rows[t]);
+        } else {
+          trees_[t].FitExactOnView(*x, rows, y_ids, num_classes, tree_rows[t]);
+        }
+      });
 }
 
 std::vector<double> RandomForestClassifier::PredictProba(

@@ -9,7 +9,7 @@
 #include "ml/metrics.h"
 #include "ml/model_selection.h"
 #include "util/binary_io.h"
-#include "util/parallel.h"
+#include "util/executor.h"
 
 namespace mvg {
 
@@ -50,9 +50,11 @@ void StackingEnsemble::Fit(const Matrix& x, const std::vector<int>& y) {
     for (const auto& factory : family) all_candidates.push_back(&factory);
   }
   std::vector<double> candidate_scores(all_candidates.size(), 0.0);
-  ParallelFor(all_candidates.size(), params_.num_threads, [&](size_t c) {
-    candidate_scores[c] = CrossValLogLoss(*all_candidates[c], x, y, folds);
-  });
+  Executor::Global().ParallelFor(
+      all_candidates.size(), params_.num_threads, [&](size_t c) {
+        candidate_scores[c] =
+            CrossValLogLoss(*all_candidates[c], x, y, folds);
+      });
 
   std::vector<ClassifierFactory> selected;
   size_t cursor = 0;
@@ -90,16 +92,17 @@ void StackingEnsemble::Fit(const Matrix& x, const std::vector<int>& y) {
                           Matrix(x.size(), std::vector<double>(k, 0.0)));
   std::vector<char> has_oof(x.size(), 0);
   const size_t num_cells = selected.size() * folds.size();
-  ParallelFor(num_cells, params_.num_threads, [&](size_t cell) {
-    const size_t e = cell / folds.size();
-    const size_t f = cell % folds.size();
-    if (!fold_usable[f]) return;
-    std::unique_ptr<Classifier> clf = selected[e]();
-    clf->FitOnRows(x, y, folds[f].train);
-    for (size_t i : folds[f].validation) {
-      oof[e][i] = clf->PredictProba(x[i]);
-    }
-  });
+  Executor::Global().ParallelFor(
+      num_cells, params_.num_threads, [&](size_t cell) {
+        const size_t e = cell / folds.size();
+        const size_t f = cell % folds.size();
+        if (!fold_usable[f]) return;
+        std::unique_ptr<Classifier> clf = selected[e]();
+        clf->FitOnRows(x, y, folds[f].train);
+        for (size_t i : folds[f].validation) {
+          oof[e][i] = clf->PredictProba(x[i]);
+        }
+      });
   for (size_t f = 0; f < folds.size(); ++f) {
     if (!fold_usable[f]) continue;
     for (size_t i : folds[f].validation) has_oof[i] = 1;
@@ -112,11 +115,12 @@ void StackingEnsemble::Fit(const Matrix& x, const std::vector<int>& y) {
   // they are independent; slot order keeps the result deterministic).
   base_.clear();
   base_.resize(selected.size());
-  ParallelFor(selected.size(), params_.num_threads, [&](size_t e) {
-    std::unique_ptr<Classifier> clf = selected[e]();
-    clf->Fit(x, y);
-    base_[e] = std::move(clf);
-  });
+  Executor::Global().ParallelFor(
+      selected.size(), params_.num_threads, [&](size_t e) {
+        std::unique_ptr<Classifier> clf = selected[e]();
+        clf->Fit(x, y);
+        base_[e] = std::move(clf);
+      });
 }
 
 void StackingEnsemble::FitCombiner(const std::vector<Matrix>& oof_probas,

@@ -407,6 +407,15 @@ MvgClassifier MvgClassifier::FromSectionReaders(BinaryReader* pipeline,
   clf.train_length_ = pipeline->ReadSize();
   clf.fe_seconds_ = pipeline->ReadDouble();
   clf.train_seconds_ = pipeline->ReadDouble();
+  // Streaming serving sizes its ring from train_length, and a uniscale
+  // layout is one width for every length, so the width check below cannot
+  // catch a corrupt length: bound it by what a fit can produce.
+  if (clf.train_length_ > MvgFeatureExtractor::kMaxSeriesLength) {
+    throw SerializationError(
+        "model file: train_length " + std::to_string(clf.train_length_) +
+        " exceeds kMaxSeriesLength (" +
+        std::to_string(MvgFeatureExtractor::kMaxSeriesLength) + ")");
+  }
   // Predict sizes every feature vector by feature_width, so it must not be
   // taken on trust. Every fit pads to exactly the layout width of its
   // longest series (NumScalesForLength is monotone in length).

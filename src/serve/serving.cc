@@ -7,7 +7,7 @@
 #include "obs/obs.h"
 #include "serve/model_io.h"
 #include "serve/model_mmap.h"
-#include "util/parallel.h"
+#include "util/executor.h"
 
 namespace mvg {
 
@@ -46,9 +46,10 @@ std::vector<int> ServingSession::PredictBatch(const Series* series,
   // if a small batch needs fewer executor slots. The fan-out rides the
   // persistent pool, so per-batch dispatch is a queue push, not a spawn.
   if (workspaces_.size() < workers) workspaces_.resize(workers);
-  ParallelForWorker(count, num_threads, [&](size_t worker, size_t i) {
-    out[i] = model_.Predict(series[i], &workspaces_[worker]);
-  });
+  Executor::Global().ParallelForWorker(
+      count, num_threads, [&](size_t worker, size_t i) {
+        out[i] = model_.Predict(series[i], &workspaces_[worker]);
+      });
   return out;
 }
 

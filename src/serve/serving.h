@@ -21,8 +21,8 @@ namespace mvg {
 /// zero steady-state heap allocation (the PR-2 pooled-CSR contract). A
 /// session is single-client state: concurrent Predict/PredictBatch calls
 /// on one session must be externally serialized (parallelism belongs
-/// *inside* a batch, where the persistent executor pool's
-/// ParallelForWorker gives each slot its own workspace). Concurrent
+/// *inside* a batch, where Executor::Global().ParallelForWorker gives
+/// each slot its own workspace). Concurrent
 /// clients each open their own session with FromFileMapped (N sessions
 /// over one file share one physical copy of the model), or go through
 /// ShardRouter (dist/shard_router.h) across processes.

@@ -9,7 +9,7 @@
 // every kernel has one fixed 4-lane shape on every backend — the main loop
 // uses F64x4 lane ops whose semantics are pinned to the scalar spelling,
 // reductions are lane-order folds, and the tail is plain scalar code — so
-// outputs are bit-identical across AVX2 / SSE2 / NEON / MVG_SIMD_OFF.
+// outputs are bit-identical across AVX2 / SSE2 / scalar / MVG_SIMD_OFF.
 //
 // PairwiseHalveInto and DetrendApplyInto are elementwise (output i depends
 // only on input lane i), so they are additionally bit-identical to the

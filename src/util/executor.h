@@ -6,20 +6,28 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
-#include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "obs/obs.h"
 
 namespace mvg {
+
+/// Upper bound on the slot index Executor::ParallelForWorker passes to its
+/// body; use it to size per-slot state. (The pool may use fewer slots — it
+/// also caps by its own concurrency — but never more.)
+inline size_t MaxWorkers(size_t n, size_t num_threads) {
+  if (n == 0) return 1;
+  return std::max<size_t>(1, std::min(num_threads, n));
+}
+
+/// Default worker count: hardware concurrency, at least 1.
+inline size_t DefaultThreads() {
+  const unsigned hc = std::thread::hardware_concurrency();
+  return hc == 0 ? 1 : static_cast<size_t>(hc);
+}
 
 namespace internal {
 
@@ -117,11 +125,13 @@ struct ParallelTask {
 
 }  // namespace internal
 
-/// Persistent work-stealing thread pool shared by every parallel layer
-/// (extraction, forest/boosting trees, grid-search cells, serving
-/// batches). One process-wide instance (`Executor::Global()`) replaces
-/// the former spawn-per-call ParallelFor: dispatching a loop onto warm
-/// workers costs microseconds instead of a thread spawn per call, and
+/// Persistent work-stealing thread pool and the library's only parallel
+/// API, shared by every parallel layer (extraction, forest/boosting trees,
+/// grid-search cells, serving batches) — the paper's "feature extraction
+/// and classification process is inherently parallel" (§1). Call sites
+/// write `Executor::Global().ParallelFor(...)`. The process-wide instance
+/// replaces the former spawn-per-call ParallelFor: dispatching a loop onto
+/// warm workers costs microseconds instead of a thread spawn per call, and
 /// nested parallel regions (a grid cell fitting a forest that fans out
 /// its trees) reuse the same fixed set of threads instead of
 /// oversubscribing the machine.
@@ -129,8 +139,8 @@ struct ParallelTask {
 /// Concurrency model
 ///  - `Executor(c)` runs `c - 1` background workers; the thread calling
 ///    `ParallelFor` is always the c-th participant. `Executor(1)` has no
-///    workers and runs every loop and submitted job inline, which makes
-///    it bit-and-order-identical to the plain serial loop.
+///    workers and runs every loop inline, which makes it
+///    bit-and-order-identical to the plain serial loop.
 ///  - A loop over n items is split into one contiguous range per
 ///    participant slot (at most `MaxWorkers(n, max_par)` slots, matching
 ///    the historical ParallelForWorker bound). Participants claim chunks
@@ -138,7 +148,7 @@ struct ParallelTask {
 ///    slots' ranges when theirs drains, so imbalanced bodies rebalance
 ///    without any per-item locking.
 ///  - A participant waiting for a nested loop to finish only executes
-///    chunks of *that* loop, never unrelated queued work. This keeps
+///    chunks of *that* loop, never another loop's chunks. This keeps
 ///    per-slot state (e.g. a pooled VgWorkspace) single-owner for the
 ///    whole loop — a slot is touched by exactly one OS thread — at the
 ///    cost of a little idle time, and bounds total live parallelism by
@@ -160,8 +170,7 @@ class Executor {
   /// hardware concurrency. Spawns `concurrency - 1` background threads.
   explicit Executor(size_t concurrency = 0);
 
-  /// Joins all workers. Jobs already queued via Submit() are drained
-  /// first (their futures complete); new submissions are rejected.
+  /// Joins all workers.
   ~Executor();
 
   Executor(const Executor&) = delete;
@@ -201,10 +210,10 @@ class Executor {
   }
 
   /// Slot-indexed variant: body(slot, i) with slot < MaxWorkers(n,
-  /// max_par) (see parallel.h). A slot is owned by exactly one thread for
-  /// the duration of the loop — including while other participants steal
-  /// chunks, which execute under the *thief's* slot — so per-slot state
-  /// (e.g. one pooled VgWorkspace per slot) needs no locking.
+  /// max_par). A slot is owned by exactly one thread for the duration of
+  /// the loop — including while other participants steal chunks, which
+  /// execute under the *thief's* slot — so per-slot state (e.g. one
+  /// pooled VgWorkspace per slot) needs no locking.
   template <typename Body>
   void ParallelForWorker(size_t n, size_t max_par, Body&& body,
                          size_t grain = 1) {
@@ -238,37 +247,6 @@ class Executor {
     }
   }
 
-  /// Queues `fn` to run on a pool worker and returns its future. On a
-  /// concurrency-1 executor the job runs inline. Safe to call from inside
-  /// a task body (nested submission) — but do not *block* on the future
-  /// from inside a task: parallel loops have priority over jobs, so a
-  /// body waiting for a job can deadlock a fully busy pool. Queued jobs
-  /// are drained (not dropped) on shutdown.
-  template <typename F>
-  auto Submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> future = task->get_future();
-    if (obs::Enabled()) {
-      obs::PipelineMetrics::Get().executor_jobs_submitted->Inc();
-    }
-    if (workers_.empty()) {
-      (*task)();
-      return future;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stop_) {
-        throw std::runtime_error("Executor: Submit after shutdown");
-      }
-      jobs_.emplace_back([task]() { (*task)(); });
-      obs::SetGauge(obs::PipelineMetrics::Get().executor_job_queue_depth,
-                    static_cast<int64_t>(jobs_.size()));
-    }
-    work_cv_.notify_one();
-    return future;
-  }
-
  private:
   /// Non-template orchestration: partition, list the task, participate as
   /// slot 0, wait out stragglers, unlist, rethrow.
@@ -278,7 +256,6 @@ class Executor {
   /// Launches `concurrency - 1` worker threads (0 = hardware).
   void SpawnWorkers(size_t concurrency);
   /// Signals stop, wakes everyone, joins and clears the worker set.
-  /// Queued jobs are drained by the exiting workers first.
   void StopAndJoinWorkers();
 
   /// Claim-and-execute loop for one participant slot.
@@ -291,7 +268,6 @@ class Executor {
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::vector<internal::ParallelTask*> active_;  ///< tasks open for helpers.
-  std::deque<std::function<void()>> jobs_;       ///< Submit() queue.
   std::vector<std::thread> workers_;
   bool stop_ = false;
 };

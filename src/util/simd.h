@@ -9,8 +9,7 @@
 //   MVG_SIMD_OFF           -> scalar   (kill switch, mirrors MVG_OBS_OFF)
 //   __AVX2__               -> avx2     (256-bit f64 lanes)
 //   __SSE2__ / x86-64      -> sse2     (2 x 128-bit halves)
-//   __aarch64__ + NEON     -> neon     (2 x 128-bit halves)
-//   anything else          -> scalar
+//   anything else          -> scalar   (aarch64 included)
 //
 // Determinism contract (the repo-wide bit-identity rule): every lane
 // operation is the IEEE-754 double/float operation of its scalar spelling;
@@ -25,8 +24,9 @@
 // byte-diff in CI pins.
 //
 // Types: F64x4 (the workhorse), F64x2 (grad/hess pair cells), F32x4,
-// I32x4 (bin-index math, gather-free u8 widening), I64x4 (CSR offset
-// folds; lanes must stay below 2^62), U8x16 (bin-span min/max sweeps).
+// I32x4 (bin-index math, gather-free u8 widening; `*` wraps modulo 2^32
+// on every backend), I64x4 (CSR offset folds; lanes must stay below
+// 2^62), U8x16 (bin-span min/max sweeps).
 // Loads are unaligned-safe; *Aligned variants assert/require cache-line
 // alignment (see util/aligned_buffer.h) and are split-free by layout.
 
@@ -44,14 +44,10 @@
     (defined(_M_IX86_FP) && _M_IX86_FP >= 2)
 #define MVG_SIMD_BACKEND_SSE2 1
 #include <emmintrin.h>
-#elif defined(__aarch64__) && defined(__ARM_NEON)
-#define MVG_SIMD_BACKEND_NEON 1
-#include <arm_neon.h>
 #endif
 #endif  // !MVG_SIMD_OFF
 
-#if !defined(MVG_SIMD_BACKEND_AVX2) && !defined(MVG_SIMD_BACKEND_SSE2) && \
-    !defined(MVG_SIMD_BACKEND_NEON)
+#if !defined(MVG_SIMD_BACKEND_AVX2) && !defined(MVG_SIMD_BACKEND_SSE2)
 #define MVG_SIMD_BACKEND_SCALAR 1
 #endif
 
@@ -75,8 +71,6 @@ namespace simd {
 inline constexpr const char* kBackendName = "avx2";
 #elif defined(MVG_SIMD_BACKEND_SSE2)
 inline constexpr const char* kBackendName = "sse2";
-#elif defined(MVG_SIMD_BACKEND_NEON)
-inline constexpr const char* kBackendName = "neon";
 #else
 inline constexpr const char* kBackendName = "scalar";
 #endif
@@ -473,208 +467,6 @@ inline I64x4 MaxI64(I64x4 a, I64x4 b) {
 
 #endif  // AVX2 / SSE2 wide types
 
-#elif defined(MVG_SIMD_BACKEND_NEON)
-// ===========================================================================
-// NEON backend (aarch64): 128-bit registers, wide types as two halves.
-// ===========================================================================
-
-struct F64x2 {
-  float64x2_t v;
-  static F64x2 Load(const double* p) { return {vld1q_f64(p)}; }
-  static F64x2 LoadAligned(const double* p) { return {vld1q_f64(p)}; }
-  static F64x2 Broadcast(double x) { return {vdupq_n_f64(x)}; }
-  static F64x2 Zero() { return {vdupq_n_f64(0.0)}; }
-  void Store(double* p) const { vst1q_f64(p, v); }
-  void StoreAligned(double* p) const { vst1q_f64(p, v); }
-};
-inline F64x2 operator+(F64x2 a, F64x2 b) { return {vaddq_f64(a.v, b.v)}; }
-inline F64x2 operator-(F64x2 a, F64x2 b) { return {vsubq_f64(a.v, b.v)}; }
-inline F64x2 operator*(F64x2 a, F64x2 b) { return {vmulq_f64(a.v, b.v)}; }
-
-struct F32x4 {
-  float32x4_t v;
-  static F32x4 Load(const float* p) { return {vld1q_f32(p)}; }
-  static F32x4 Broadcast(float x) { return {vdupq_n_f32(x)}; }
-  static F32x4 Zero() { return {vdupq_n_f32(0.0f)}; }
-  void Store(float* p) const { vst1q_f32(p, v); }
-  float Lane(int i) const {
-    float t[4];
-    vst1q_f32(t, v);
-    return t[i];
-  }
-};
-inline F32x4 operator+(F32x4 a, F32x4 b) { return {vaddq_f32(a.v, b.v)}; }
-inline F32x4 operator-(F32x4 a, F32x4 b) { return {vsubq_f32(a.v, b.v)}; }
-inline F32x4 operator*(F32x4 a, F32x4 b) { return {vmulq_f32(a.v, b.v)}; }
-inline F32x4 operator/(F32x4 a, F32x4 b) { return {vdivq_f32(a.v, b.v)}; }
-/// Compare+select for std::min/std::max semantics (native vmin/vmax
-/// propagate NaN from either operand, which std::min/max do not).
-inline F32x4 Min(F32x4 a, F32x4 b) {
-  return {vbslq_f32(vcltq_f32(b.v, a.v), b.v, a.v)};
-}
-inline F32x4 Max(F32x4 a, F32x4 b) {
-  return {vbslq_f32(vcltq_f32(a.v, b.v), b.v, a.v)};
-}
-inline float ReduceAddOrdered(F32x4 x) {
-  float t[4];
-  vst1q_f32(t, x.v);
-  return ((t[0] + t[1]) + t[2]) + t[3];
-}
-
-struct I32x4 {
-  int32x4_t v;
-  static I32x4 Load(const int32_t* p) { return {vld1q_s32(p)}; }
-  static I32x4 Load(const uint32_t* p) {
-    return {vreinterpretq_s32_u32(vld1q_u32(p))};
-  }
-  static I32x4 Broadcast(int32_t x) { return {vdupq_n_s32(x)}; }
-  static I32x4 Zero() { return {vdupq_n_s32(0)}; }
-  static I32x4 WidenU8x4(const uint8_t* p) {
-    uint32_t packed;
-    std::memcpy(&packed, p, 4);
-    const uint8x8_t b = vreinterpret_u8_u32(vdup_n_u32(packed));
-    return {vreinterpretq_s32_u32(vmovl_u16(vget_low_u16(vmovl_u8(b))))};
-  }
-  void Store(int32_t* p) const { vst1q_s32(p, v); }
-  void Store(uint32_t* p) const { vst1q_u32(p, vreinterpretq_u32_s32(v)); }
-  int32_t Lane(int i) const {
-    int32_t t[4];
-    vst1q_s32(t, v);
-    return t[i];
-  }
-};
-inline I32x4 operator+(I32x4 a, I32x4 b) { return {vaddq_s32(a.v, b.v)}; }
-inline I32x4 operator-(I32x4 a, I32x4 b) { return {vsubq_s32(a.v, b.v)}; }
-inline I32x4 operator*(I32x4 a, I32x4 b) { return {vmulq_s32(a.v, b.v)}; }
-inline I32x4 RotateLanes1(I32x4 a) { return {vextq_s32(a.v, a.v, 1)}; }
-inline int EqMask(I32x4 a, I32x4 b) {
-  const uint32x4_t eq = vceqq_s32(a.v, b.v);
-  return (vgetq_lane_u32(eq, 0) & 1) | ((vgetq_lane_u32(eq, 1) & 1) << 1) |
-         ((vgetq_lane_u32(eq, 2) & 1) << 2) | ((vgetq_lane_u32(eq, 3) & 1) << 3);
-}
-
-struct U8x16 {
-  uint8x16_t v;
-  static U8x16 Load(const uint8_t* p) { return {vld1q_u8(p)}; }
-  static U8x16 Broadcast(uint8_t x) { return {vdupq_n_u8(x)}; }
-};
-inline U8x16 MinU8(U8x16 a, U8x16 b) { return {vminq_u8(a.v, b.v)}; }
-inline U8x16 MaxU8(U8x16 a, U8x16 b) { return {vmaxq_u8(a.v, b.v)}; }
-inline uint8_t ReduceMinU8(U8x16 x) { return vminvq_u8(x.v); }
-inline uint8_t ReduceMaxU8(U8x16 x) { return vmaxvq_u8(x.v); }
-
-struct F64x4 {
-  float64x2_t lo, hi;
-  static F64x4 Load(const double* p) { return {vld1q_f64(p), vld1q_f64(p + 2)}; }
-  static F64x4 LoadAligned(const double* p) { return Load(p); }
-  static F64x4 Broadcast(double x) {
-    return {vdupq_n_f64(x), vdupq_n_f64(x)};
-  }
-  static F64x4 Set(double l0, double l1, double l2, double l3) {
-    const double a[2] = {l0, l1}, b[2] = {l2, l3};
-    return {vld1q_f64(a), vld1q_f64(b)};
-  }
-  static F64x4 Zero() { return Broadcast(0.0); }
-  void Store(double* p) const {
-    vst1q_f64(p, lo);
-    vst1q_f64(p + 2, hi);
-  }
-  void StoreAligned(double* p) const { Store(p); }
-  double Lane(int i) const {
-    double t[4];
-    Store(t);
-    return t[i];
-  }
-};
-inline F64x4 operator+(F64x4 a, F64x4 b) {
-  return {vaddq_f64(a.lo, b.lo), vaddq_f64(a.hi, b.hi)};
-}
-inline F64x4 operator-(F64x4 a, F64x4 b) {
-  return {vsubq_f64(a.lo, b.lo), vsubq_f64(a.hi, b.hi)};
-}
-inline F64x4 operator*(F64x4 a, F64x4 b) {
-  return {vmulq_f64(a.lo, b.lo), vmulq_f64(a.hi, b.hi)};
-}
-inline F64x4 operator/(F64x4 a, F64x4 b) {
-  return {vdivq_f64(a.lo, b.lo), vdivq_f64(a.hi, b.hi)};
-}
-inline F64x4 MulAdd(F64x4 a, F64x4 b, F64x4 c) {
-  // Two roundings by contract: explicit mul then add (not vfmaq).
-  return {vaddq_f64(vmulq_f64(a.lo, b.lo), c.lo),
-          vaddq_f64(vmulq_f64(a.hi, b.hi), c.hi)};
-}
-inline F64x4 Min(F64x4 a, F64x4 b) {
-  return {vbslq_f64(vcltq_f64(b.lo, a.lo), b.lo, a.lo),
-          vbslq_f64(vcltq_f64(b.hi, a.hi), b.hi, a.hi)};
-}
-inline F64x4 Max(F64x4 a, F64x4 b) {
-  return {vbslq_f64(vcltq_f64(a.lo, b.lo), b.lo, a.lo),
-          vbslq_f64(vcltq_f64(a.hi, b.hi), b.hi, a.hi)};
-}
-inline F64x4 Reverse(F64x4 x) {
-  return {vextq_f64(x.hi, x.hi, 1), vextq_f64(x.lo, x.lo, 1)};
-}
-/// Even/odd split of the 8-double stream {a | b} — see the x86 comment.
-inline void DeinterleaveEvenOdd(F64x4 a, F64x4 b, F64x4* even, F64x4* odd) {
-  even->lo = vuzp1q_f64(a.lo, a.hi);
-  even->hi = vuzp1q_f64(b.lo, b.hi);
-  odd->lo = vuzp2q_f64(a.lo, a.hi);
-  odd->hi = vuzp2q_f64(b.lo, b.hi);
-}
-
-struct M64x4 {
-  uint64x2_t lo, hi;
-};
-inline M64x4 CmpLT(F64x4 a, F64x4 b) {
-  return {vcltq_f64(a.lo, b.lo), vcltq_f64(a.hi, b.hi)};
-}
-inline M64x4 CmpGT(F64x4 a, F64x4 b) {
-  return {vcgtq_f64(a.lo, b.lo), vcgtq_f64(a.hi, b.hi)};
-}
-inline M64x4 CmpGE(F64x4 a, F64x4 b) {
-  return {vcgeq_f64(a.lo, b.lo), vcgeq_f64(a.hi, b.hi)};
-}
-inline M64x4 CmpEQ(F64x4 a, F64x4 b) {
-  return {vceqq_f64(a.lo, b.lo), vceqq_f64(a.hi, b.hi)};
-}
-inline F64x4 Blend(M64x4 m, F64x4 t, F64x4 f) {
-  return {vbslq_f64(m.lo, t.lo, f.lo), vbslq_f64(m.hi, t.hi, f.hi)};
-}
-inline int MoveMask(M64x4 m) {
-  return static_cast<int>((vgetq_lane_u64(m.lo, 0) & 1u) |
-                          ((vgetq_lane_u64(m.lo, 1) & 1u) << 1) |
-                          ((vgetq_lane_u64(m.hi, 0) & 1u) << 2) |
-                          ((vgetq_lane_u64(m.hi, 1) & 1u) << 3));
-}
-
-struct I64x4 {
-  int64_t v[4];
-  static I64x4 Load(const int64_t* p) { return {{p[0], p[1], p[2], p[3]}}; }
-  static I64x4 Load(const uint64_t* p) {
-    return {{static_cast<int64_t>(p[0]), static_cast<int64_t>(p[1]),
-             static_cast<int64_t>(p[2]), static_cast<int64_t>(p[3])}};
-  }
-  static I64x4 Broadcast(int64_t x) { return {{x, x, x, x}}; }
-  static I64x4 Zero() { return {{0, 0, 0, 0}}; }
-  int64_t Lane(int i) const { return v[i]; }
-};
-inline I64x4 operator+(I64x4 a, I64x4 b) {
-  return {{a.v[0] + b.v[0], a.v[1] + b.v[1], a.v[2] + b.v[2],
-           a.v[3] + b.v[3]}};
-}
-inline I64x4 operator-(I64x4 a, I64x4 b) {
-  return {{a.v[0] - b.v[0], a.v[1] - b.v[1], a.v[2] - b.v[2],
-           a.v[3] - b.v[3]}};
-}
-inline I64x4 MinI64(I64x4 a, I64x4 b) {
-  return {{std::min(a.v[0], b.v[0]), std::min(a.v[1], b.v[1]),
-           std::min(a.v[2], b.v[2]), std::min(a.v[3], b.v[3])}};
-}
-inline I64x4 MaxI64(I64x4 a, I64x4 b) {
-  return {{std::max(a.v[0], b.v[0]), std::max(a.v[1], b.v[1]),
-           std::max(a.v[2], b.v[2]), std::max(a.v[3], b.v[3])}};
-}
-
 #else
 // ===========================================================================
 // Scalar backend — the parity reference. Everything is the literal scalar
@@ -772,8 +564,14 @@ inline I32x4 operator-(I32x4 a, I32x4 b) {
            a.v[3] - b.v[3]}};
 }
 inline I32x4 operator*(I32x4 a, I32x4 b) {
-  return {{a.v[0] * b.v[0], a.v[1] * b.v[1], a.v[2] * b.v[2],
-           a.v[3] * b.v[3]}};
+  // Wrapping product, as _mm_mullo_epi32 computes it: multiply as uint32_t
+  // (defined on overflow) and cast back.
+  I32x4 r;
+  for (int i = 0; i < 4; ++i) {
+    r.v[i] = static_cast<int32_t>(static_cast<uint32_t>(a.v[i]) *
+                                  static_cast<uint32_t>(b.v[i]));
+  }
+  return r;
 }
 inline I32x4 RotateLanes1(I32x4 a) {
   return {{a.v[1], a.v[2], a.v[3], a.v[0]}};
@@ -874,7 +672,7 @@ inline F64x4 Reverse(F64x4 x) {
   return {{x.v[3], x.v[2], x.v[1], x.v[0]}};
 }
 /// Even/odd split of the 8-double stream {a | b}: even = {a0, a2, b0, b2},
-/// odd = {a1, a3, b1, b3} — the scalar spelling of the x86/NEON shuffles.
+/// odd = {a1, a3, b1, b3} — the scalar spelling of the x86 shuffles.
 inline void DeinterleaveEvenOdd(F64x4 a, F64x4 b, F64x4* even, F64x4* odd) {
   *even = {{a.v[0], a.v[2], b.v[0], b.v[2]}};
   *odd = {{a.v[1], a.v[3], b.v[1], b.v[3]}};

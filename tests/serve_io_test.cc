@@ -712,6 +712,44 @@ TEST_F(ZeroCopyTest, ViewLoadRejectsPatchedFeatureWidth) {
   }
 }
 
+// train_length sizes StreamingClassifier's ring, and docs/FORMATS.md
+// bounds it by kMaxSeriesLength. A uniscale (column-E) layout has one
+// width for every length, so the feature_width check alone lets a patched
+// length through. The payload and table CRCs are recomputed after the
+// patch, so the stream loader's checksum pass cannot be what rejects it.
+TEST_F(V3FramingTest, PatchedTrainLengthRejected) {
+  MvgClassifier::Config config;
+  config.extractor = ConfigForHeuristicColumn('E');
+  config.model = MvgModel::kSvm;
+  config.grid = GridPreset::kNone;
+  MvgClassifier clf(config);
+  clf.Fit(MakeNoiseDataset("train_length_bound", {0, 1}, 6, 48, 3));
+  std::ostringstream os(std::ios::binary);
+  SaveModel(clf, os);
+  const std::string blob = os.str();
+
+  // Pipeline section = table entry 0; it ends with feature_width,
+  // train_length and the two recorded wall times, 8 bytes each.
+  const size_t pipeline_at = GetU64(blob, Entry(0, 8));
+  const size_t pipeline_size = GetU64(blob, Entry(0, 16));
+  const size_t length_at = pipeline_at + pipeline_size - 24;
+  ASSERT_EQ(GetU64(blob, length_at), 48u);
+
+  for (uint64_t length : {uint64_t{32769}, uint64_t{1} << 40}) {
+    std::string patched = blob;
+    PutU64(&patched, length_at, length);
+    PutU32(&patched, Entry(0, 24),
+           Crc32(patched.data() + pipeline_at, pipeline_size));
+    FixTableCrc(&patched);
+    ExpectRejected(patched);
+    std::vector<uint64_t> buf((patched.size() + 7) / 8);
+    std::memcpy(buf.data(), patched.data(), patched.size());
+    EXPECT_THROW(LoadModelView(buf.data(), patched.size()),
+                 SerializationError)
+        << "train_length " << length;
+  }
+}
+
 TEST_F(ZeroCopyTest, MappedFileSessionMatchesStreamSession) {
   const std::string path = ::testing::TempDir() + "serve_io_test_mmap.mvg";
   MvgClassifier::Config config;

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "util/parallel.h"
+#include "util/executor.h"
 #include "util/random.h"
 #include "util/statistics.h"
 #include "util/string_util.h"
@@ -19,7 +19,7 @@ TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
     const size_t n = 103;  // not a multiple of any worker count
     std::vector<std::atomic<int>> visits(n);
     for (auto& v : visits) v = 0;
-    ParallelFor(n, threads, [&](size_t i) { visits[i]++; });
+    Executor::Global().ParallelFor(n, threads, [&](size_t i) { visits[i]++; });
     for (size_t i = 0; i < n; ++i) {
       EXPECT_EQ(visits[i].load(), 1) << "threads=" << threads << " i=" << i;
     }
@@ -28,9 +28,10 @@ TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
 
 TEST(ParallelFor, HandlesFewerItemsThanThreads) {
   std::atomic<int> calls{0};
-  ParallelFor(3, 16, [&](size_t) { calls++; });
+  Executor::Global().ParallelFor(3, 16, [&](size_t) { calls++; });
   EXPECT_EQ(calls.load(), 3);
-  ParallelFor(0, 4, [](size_t) { FAIL() << "no work expected"; });
+  Executor::Global().ParallelFor(
+      0, 4, [](size_t) { FAIL() << "no work expected"; });
 }
 
 TEST(ParallelForWorkerTest, WorkerIndexStaysBelowMaxWorkers) {
@@ -44,10 +45,11 @@ TEST(ParallelForWorkerTest, WorkerIndexStaysBelowMaxWorkers) {
       std::vector<std::atomic<int>> owner(n);
       for (auto& o : owner) o = -1;
       std::atomic<bool> in_bounds{true};
-      ParallelForWorker(n, threads, [&](size_t worker, size_t i) {
-        if (worker >= bound) in_bounds = false;
-        owner[i] = static_cast<int>(worker);
-      });
+      Executor::Global().ParallelForWorker(
+          n, threads, [&](size_t worker, size_t i) {
+            if (worker >= bound) in_bounds = false;
+            owner[i] = static_cast<int>(worker);
+          });
       EXPECT_TRUE(in_bounds.load())
           << "worker index >= MaxWorkers(" << n << ", " << threads << ")";
       for (size_t i = 0; i < n; ++i) {
@@ -62,10 +64,12 @@ TEST(ParallelFor, WorkerExceptionPropagatesToCaller) {
   // the calling thread after all workers join.
   for (size_t threads : {size_t{1}, size_t{4}}) {
     EXPECT_THROW(
-        ParallelFor(64, threads,
-                    [](size_t i) {
-                      if (i == 17) throw std::runtime_error("boom");
-                    }),
+        Executor::Global().ParallelFor(64, threads,
+                                       [](size_t i) {
+                                         if (i == 17) {
+                                           throw std::runtime_error("boom");
+                                         }
+                                       }),
         std::runtime_error)
         << "threads=" << threads;
   }
